@@ -115,7 +115,9 @@ def build_robust_map(
 
     The informative component is the conjugate update of Beta(a0, b0) by the
     pilot counts; an empty pilot leaves it at Beta(a0, b0). The vague
-    component stays Beta(1, 1) unless explicitly overridden.
+    component stays Beta(1, 1) unless explicitly overridden. The superiority
+    probability needs integer-valued shapes, so a0, b0 and the vague shapes
+    must be integers for the mixture to reach the decision.
     """
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"prior weight must lie in [0, 1], got {weight}")

@@ -213,7 +213,10 @@ def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, sto
     """Successes among replicates [start, stop), vectorized.
 
     Reproduces simulate_replicate decision-for-decision: identical streams
-    and draw order, the same conjugate updates, the same quadrature ladder.
+    and draw order, the same conjugate updates, the same exact exceedance
+    sum. One bit generator serves the chunk; setting its counter to
+    replicate_stream's and emptying its output buffer gives each replicate
+    the same draws as a fresh stream.
     """
     count = stop - start
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
@@ -222,9 +225,13 @@ def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, sto
     p_treatment = scenario.treatment_rate
     p_pilot_treatment = scenario.pilot_treatment_rate
 
+    bitgen = np.random.Philox(key=scenario.master_seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh state: buffer_pos 4 and has_uint32 0, nothing buffered
     y = np.empty((count, 4), dtype=np.int64)
     for i in range(count):
-        rng = replicate_stream(scenario.master_seed, n_total, start + i)
+        state["state"]["counter"] = np.array([0, 0, start + i, n_total], dtype=np.uint64)
+        bitgen.state = state
         y[i, 0] = rng.binomial(pilot_control_n, p_control)
         y[i, 1] = rng.binomial(pilot_treatment_n, p_pilot_treatment)
         y[i, 2] = rng.binomial(control_n, p_control)

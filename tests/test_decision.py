@@ -2,15 +2,24 @@ import numpy as np
 import pytest
 
 from pilot_borrow.decision import (
+    _FORMS,
     DecisionRule,
+    _exceedance_sum,
     beta_exceedance,
     decide,
+    exceedance_pairs,
     mixture_superiority_batch,
     superiority_probability,
 )
 from pilot_borrow.map_prior import ArmCounts, BetaMixture, BetaParams, build_robust_map, update_posterior
 
-from oracles import exceedance_dblquad, exceedance_mc, mixture_superiority_mc
+from oracles import (
+    beta_exceedance_window,
+    exceedance_dblquad,
+    exceedance_integer_shapes,
+    exceedance_mc,
+    mixture_superiority_mc,
+)
 
 
 def random_posterior(rng, max_n=800):
@@ -142,3 +151,73 @@ class TestBatchKernel:
             scalar = superiority_probability(t, c)
             assert batch[k] == pytest.approx(scalar, abs=1e-12)
             assert decide(float(batch[k]), rule) == decide(scalar, rule)
+
+
+def random_count_rows(rng, size, max_arm=10_000):
+    """Posterior shapes (1 + y, 1 + n - y) of two arms with sizes up to max_arm."""
+    n = rng.integers(1, max_arm + 1, size=(size, 2))
+    p = rng.uniform(0.02, 0.98, size=(size, 1)) * rng.uniform(0.9, 1.1, size=(size, 2))
+    y = rng.binomial(n, np.clip(p, 0.0, 1.0))
+    shapes = [1 + y[:, 0], 1 + n[:, 0] - y[:, 0], 1 + y[:, 1], 1 + n[:, 1] - y[:, 1]]
+    return np.column_stack(shapes).astype(np.float64)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_oracles_up_to_arm_size_ten_thousand(self, seed):
+        rows = random_count_rows(np.random.default_rng(700 + seed), 60)
+        rows[0] = (2501, 7501, 2401, 7601)  # both arms of n = 20000, p near 0.25
+        values = exceedance_pairs(*rows.T)
+        window = beta_exceedance_window(*rows.T)
+        closed = np.array([exceedance_integer_shapes(*map(int, row)) for row in rows])
+        assert np.max(np.abs(values - window)) <= 1e-9
+        assert np.max(np.abs(values - closed)) <= 1e-9
+
+    def test_swapping_the_pair_gives_the_complement(self):
+        rows = random_count_rows(np.random.default_rng(711), 500)
+        forward = exceedance_pairs(*rows.T)
+        backward = exceedance_pairs(rows[:, 2], rows[:, 3], rows[:, 0], rows[:, 1])
+        assert np.max(np.abs(forward + backward - 1.0)) <= 1e-12
+
+    def test_all_four_forms_agree(self):
+        rng = np.random.default_rng(713)
+        rows = random_count_rows(rng, 200, max_arm=2000)
+        tied = rng.integers(1, 400, size=(50, 1)).astype(np.float64)
+        ties = np.column_stack([tied, tied, tied, tied + rng.integers(0, 3, size=(50, 1))])
+        rows = np.vstack([rows, ties, ties[:, [3, 2, 1, 0]]])
+        values = []
+        for form, columns in enumerate(_FORMS):
+            sums = _exceedance_sum(rows[:, columns])
+            values.append(1.0 - sums if form % 2 else sums)
+        for other in values[1:]:
+            assert np.max(np.abs(other - values[0])) <= 1e-11
+
+    def test_value_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(717)
+        rows = random_count_rows(rng, 10_000, max_arm=3000)
+        values = exceedance_pairs(*rows.T)
+        perm = rng.permutation(rows.shape[0])
+        assert np.array_equal(exceedance_pairs(*rows[perm].T), values[perm])
+        for k in range(0, rows.shape[0], 499):
+            alone = beta_exceedance(BetaParams(*rows[k, :2]), BetaParams(*rows[k, 2:]))
+            assert alone == values[k]
+
+    @pytest.mark.parametrize("shape", [2.5, 0.5, np.nan, np.inf])
+    def test_rejects_shapes_that_are_not_positive_integers(self, shape):
+        with pytest.raises(ValueError):
+            exceedance_pairs([shape], [3.0], [2.0], [4.0])
+
+    def test_raw_sums_stay_within_the_unit_interval(self):
+        # Every form's sum is a probability. Rounding of log t_i, whose size
+        # reaches about 2700 at these shapes, leaves up to a few 1e-12 above 1.
+        rows = random_count_rows(np.random.default_rng(719), 400)
+        rows[:4] = [
+            (2971, 7031, 3001, 7001),
+            (7001, 3001, 6901, 3101),
+            (5001, 5001, 5001, 5001),
+            (1, 1, 1, 1),
+        ]
+        for form, columns in enumerate(_FORMS):
+            sums = _exceedance_sum(rows[:, columns])
+            assert sums.min() >= 0.0
+            assert sums.max() <= 1.0 + 1e-11
