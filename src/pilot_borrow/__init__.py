@@ -6,15 +6,6 @@ feasibility of the definitive trial, via deterministic parallel Monte Carlo.
 """
 
 from .config import ConfigError, GridCell, RecruitmentPlan, RunConfig, parse_config
-from .decision import DecisionRule, beta_exceedance, decide, superiority_probability
-from .map_prior import (
-    ArmCounts,
-    BetaMixture,
-    BetaParams,
-    build_robust_map,
-    informative_weight,
-    update_posterior,
-)
 from .recruitment import (
     RecruitmentModel,
     expected_duration,
@@ -27,65 +18,43 @@ from .runner import ResultRow, emit_results, run_grid
 from .simulate import (
     DesignScenario,
     PowerEstimate,
+    ReplicateBatch,
     SampleSizeResult,
     estimate_power,
     find_min_sample_size,
     pilot_size,
     replicate_stream,
-    run_conflict_grid,
-    simulate_replicate,
+    simulate_batch,
     split_arms,
     trace_replicate,
-)
-from .special import (
-    log_beta_binomial_pmf,
-    log_beta_fn,
-    log_gamma,
-    reg_inc_beta,
-    sample_binomial,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmCounts",
-    "BetaMixture",
-    "BetaParams",
     "ConfigError",
-    "DecisionRule",
     "DesignScenario",
     "GridCell",
     "PowerEstimate",
     "RecruitmentModel",
     "RecruitmentPlan",
+    "ReplicateBatch",
     "ResultRow",
     "RunConfig",
     "SampleSizeResult",
-    "beta_exceedance",
-    "build_robust_map",
-    "decide",
     "emit_results",
     "estimate_power",
     "expected_duration",
     "find_min_sample_size",
-    "informative_weight",
-    "log_beta_binomial_pmf",
-    "log_beta_fn",
-    "log_gamma",
     "months_for_probability",
     "negbin_params",
     "parse_config",
     "pilot_size",
     "recruitment_probability",
-    "reg_inc_beta",
     "replicate_stream",
     "round_months",
-    "run_conflict_grid",
     "run_grid",
-    "sample_binomial",
-    "simulate_replicate",
+    "simulate_batch",
     "split_arms",
-    "superiority_probability",
     "trace_replicate",
-    "update_posterior",
 ]

@@ -2,8 +2,9 @@
 
 Subcommands mirror the analyses of the simulation study: ``power`` for one
 cell, ``grid`` for a config-driven sweep, ``conflict`` for pilot/definitive
-disagreement, ``duration`` and ``recruit`` for the feasibility arithmetic,
-and ``replicate`` to dump every intermediate of a single simulated trial.
+disagreement (one grid cell per multiplier, run through the grid runner),
+``duration`` and ``recruit`` for the feasibility arithmetic, and
+``replicate`` to print every intermediate of a single simulated trial.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 grid completed
 with flagged (infeasible or unreachable) cells.
@@ -17,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RecruitmentPlan, parse_config
+from .config import ConfigError, GridCell, RecruitmentPlan, RunConfig, parse_config
 from .recruitment import (
     RecruitmentModel,
     expected_duration,
@@ -25,22 +26,8 @@ from .recruitment import (
     recruitment_probability,
     round_months,
 )
-from .runner import (
-    STATUS_OK,
-    STATUS_UNREACHABLE,
-    ResultRow,
-    emit_results,
-    print_summary,
-    run_grid,
-)
-from .simulate import (
-    DEFAULT_MASTER_SEED,
-    DesignScenario,
-    estimate_power,
-    replicate_stream,
-    run_conflict_grid,
-    trace_replicate,
-)
+from .runner import STATUS_OK, emit_results, print_summary, run_grid
+from .simulate import DEFAULT_MASTER_SEED, DesignScenario, estimate_power, trace_replicate
 
 SEED_ENV_VAR = "PILOT_BORROW_SEED"
 
@@ -105,6 +92,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser, pilot_fraction_default: 
 
 
 def _scenario_from_args(args) -> DesignScenario:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     try:
         return DesignScenario(
             control_rate=args.p_c,
@@ -179,36 +168,35 @@ def _cmd_conflict(args) -> int:
     scenario = _scenario_from_args(args)
     multipliers = _float_list(args.multipliers, "--multipliers")
     for multiplier in multipliers:
+        if not multiplier > 0.0:
+            raise ConfigError(f"--multipliers entries must be positive, got {multiplier:g}")
         if multiplier * scenario.risk_ratio * scenario.control_rate > 1.0:
             raise ConfigError(
                 f"multiplier {multiplier:g} makes the pilot success probability exceed 1"
             )
     if not 0.0 < args.target_power < 1.0:
         raise ConfigError("--target-power must lie in (0, 1)")
-    results = run_conflict_grid(
-        scenario, multipliers, target_power=args.target_power, workers=args.workers
-    )
-    rows = []
-    for multiplier, result in zip(multipliers, results):
-        rows.append(
-            ResultRow(
+    config = RunConfig(
+        cells=tuple(
+            GridCell(
                 control_rate=scenario.control_rate,
                 risk_ratio=scenario.risk_ratio,
-                pilot_rr_multiplier=multiplier,
                 pilot_fraction=scenario.pilot_fraction,
-                n_total=result.n_total,
-                pilot_total=result.pilot_total,
-                power=result.power_at_n.power,
-                power_se=result.power_at_n.standard_error,
-                replicates=scenario.replicates,
-                durations=(),
-                recruit_probs=(),
-                status=STATUS_OK if result.achieved else STATUS_UNREACHABLE,
-                seed=scenario.master_seed,
+                pilot_rr_multiplier=multiplier,
+                prior_weight=scenario.prior_weight,
             )
-        )
+            for multiplier in multipliers
+        ),
+        target_power=args.target_power,
+        threshold=scenario.threshold,
+        replicates=scenario.replicates,
+        master_seed=scenario.master_seed,
+        workers=args.workers,
+        recruitment=RecruitmentPlan(rates=(), months=()),
+    )
+    rows = run_grid(config)
     if args.out is not None:
-        emit_results(rows, args.out, recruitment=RecruitmentPlan(rates=(), months=()))
+        emit_results(rows, args.out, recruitment=config.recruitment)
         print(f"wrote {args.out}")
     else:
         print_summary(rows)
@@ -255,10 +243,8 @@ def _cmd_recruit(args) -> int:
     return EXIT_OK
 
 
-def _format_mixture(mixture) -> str:
-    return " + ".join(
-        f"{w:.6f} * Beta({p.alpha:g}, {p.beta:g})" for w, p in mixture.components
-    )
+def _format_mixture(weights, alphas, betas) -> str:
+    return " + ".join(f"{w:.6f} * Beta({a:g}, {b:g})" for w, a, b in zip(weights, alphas, betas))
 
 
 def _cmd_replicate(args) -> int:
@@ -267,28 +253,24 @@ def _cmd_replicate(args) -> int:
         raise ConfigError(f"--n-total must be >= 2, got {args.n_total}")
     if args.index < 0:
         raise ConfigError("--index must be >= 0")
-    rng = replicate_stream(scenario.master_seed, args.n_total, args.index)
-    trace = trace_replicate(scenario, args.n_total, rng)
+    trace = trace_replicate(scenario, args.n_total, args.index)
+    (pc_n, pt_n, c_n, t_n), (pc_y, pt_y, c_y, t_y) = trace.sizes, trace.draws[0].tolist()
+    w_c, a_c, b_c = (v[0] for v in trace.control)
+    w_t, a_t, b_t = (v[0] for v in trace.treatment)
+    # each prior is its posterior less the definitive counts
+    prior_weights = (1.0 - scenario.prior_weight, scenario.prior_weight)
+    prior_c = _format_mixture(prior_weights, a_c - c_y, b_c - (c_n - c_y))
+    prior_t = _format_mixture(prior_weights, a_t - t_y, b_t - (t_n - t_y))
     print(f"replicate index={args.index} seed={scenario.master_seed} n_total={args.n_total}")
-    print(
-        f"pilot draws: control {trace.pilot_control.successes}/{trace.pilot_control.size}, "
-        f"treatment {trace.pilot_treatment.successes}/{trace.pilot_treatment.size}"
-    )
-    print(f"prior control:   {_format_mixture(trace.prior_control)}")
-    print(f"prior treatment: {_format_mixture(trace.prior_treatment)}")
-    print(
-        f"definitive draws: control {trace.definitive_control.successes}/"
-        f"{trace.definitive_control.size}, treatment "
-        f"{trace.definitive_treatment.successes}/{trace.definitive_treatment.size}"
-    )
-    print(f"posterior control:   {_format_mixture(trace.posterior_control)}")
-    print(f"posterior treatment: {_format_mixture(trace.posterior_treatment)}")
-    print(
-        f"updated informative weight: control {trace.updated_weight_control:.6f}, "
-        f"treatment {trace.updated_weight_treatment:.6f}"
-    )
-    print(f"superiority probability: {trace.superiority:.6f}")
-    print(f"decision: {'superior' if trace.success else 'not superior'}")
+    print(f"pilot draws: control {pc_y}/{pc_n}, treatment {pt_y}/{pt_n}")
+    print(f"prior control:   {prior_c}")
+    print(f"prior treatment: {prior_t}")
+    print(f"definitive draws: control {c_y}/{c_n}, treatment {t_y}/{t_n}")
+    print(f"posterior control:   {_format_mixture(w_c, a_c, b_c)}")
+    print(f"posterior treatment: {_format_mixture(w_t, a_t, b_t)}")
+    print(f"updated informative weight: control {w_c[1]:.6f}, treatment {w_t[1]:.6f}")
+    print(f"superiority probability: {trace.superiority[0]:.6f}")
+    print(f"decision: {'superior' if trace.success[0] else 'not superior'}")
     return EXIT_OK
 
 

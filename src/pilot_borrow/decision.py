@@ -17,12 +17,8 @@ seed-free, so simulated power carries data-sampling noise only. Shapes that
 are not positive integers raise ValueError.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as sp
-
-from .map_prior import BetaMixture, BetaParams
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -134,53 +130,13 @@ def _exceedance_sum(rows: np.ndarray) -> np.ndarray:
     return result
 
 
-@dataclass(frozen=True)
-class DecisionRule:
-    """Superiority is declared when the posterior probability strictly exceeds the threshold."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-
-
-def beta_exceedance(t: BetaParams, c: BetaParams) -> float:
-    """P(X > Y) for independent X ~ Beta(t), Y ~ Beta(c)."""
-    return float(
-        exceedance_pairs(
-            np.array([t.alpha]), np.array([t.beta]), np.array([c.alpha]), np.array([c.beta])
-        )[0]
-    )
-
-
-def superiority_probability(post_t: BetaMixture, post_c: BetaMixture) -> float:
-    """P(p_T > p_C | data) for independent mixture posteriors.
-
-    The double sum over component pairs weights each pairwise exceedance by
-    the product of the component weights.
-    """
-    a_x, b_x, a_y, b_y, pair_w = [], [], [], [], []
-    for w_t, params_t in post_t.components:
-        for w_c, params_c in post_c.components:
-            a_x.append(params_t.alpha)
-            b_x.append(params_t.beta)
-            a_y.append(params_c.alpha)
-            b_y.append(params_c.beta)
-            pair_w.append(w_t * w_c)
-    values = exceedance_pairs(np.array(a_x), np.array(b_x), np.array(a_y), np.array(b_y))
-    total = 0.0
-    for w, v in zip(pair_w, values):
-        total += w * float(v)
-    return min(max(total, 0.0), 1.0)
-
-
 def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     """Vectorized superiority probability for stacked two-arm posteriors.
 
     All inputs have shape (n, k): per row one replicate's mixture weights and
-    shapes for the treatment (t) and control (c) arm. Rows are evaluated with
-    the same exact pairwise sum as :func:`superiority_probability`.
+    shapes for the treatment (t) and control (c) arm. P(p_T > p_C) is the
+    double sum over component pairs of the product of the two weights and
+    the pair's exact exceedance.
     """
     n, k_t = a_t.shape
     k_c = a_c.shape[1]
@@ -194,10 +150,3 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
         for j in range(k_c):
             total += w_t[:, i] * w_c[:, j] * values[:, i, j]
     return np.clip(total, 0.0, 1.0)
-
-
-def decide(prob: float, rule: DecisionRule) -> bool:
-    """True when the posterior superiority probability strictly exceeds the rule threshold."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {prob}")
-    return prob > rule.threshold

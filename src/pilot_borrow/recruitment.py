@@ -10,7 +10,7 @@ within m months".
 import math
 from dataclasses import dataclass
 
-from .special import reg_inc_beta
+from scipy.special import betainc
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def recruitment_probability(model: RecruitmentModel, n: int, m: float) -> float:
     if n == 0:
         return 1.0
     r, p = negbin_params(model, m)
-    return reg_inc_beta(1.0 - p, float(n), r)
+    return float(betainc(float(n), r, 1.0 - p))
 
 
 _MONTH_RESOLUTION = 0.01

@@ -1,24 +1,26 @@
 """Monte Carlo engine: joint pilot + definitive trial replicates, power
 estimation, and minimal-sample-size search.
 
-Each replicate first simulates a pilot study, builds a robust mixture prior
-per arm from the pilot counts, then simulates the definitive trial, updates
-the posteriors, and applies the superiority decision rule. Replicates are
-driven by counter-based Philox streams keyed on (master_seed, n_total,
-replicate index), so results are bit-identical across runs and across any
-number of worker processes.
+The model has one implementation, :func:`simulate_batch`, which runs a
+range of replicates as arrays: each replicate simulates a pilot study, takes
+a robust mixture prior per arm from the pilot counts, simulates the
+definitive trial, updates both posteriors and applies the superiority
+decision. Power probes count its decisions, and :func:`trace_replicate`
+runs it on a single replicate for inspection. Replicates are driven by
+counter-based Philox streams keyed on (master_seed, n_total, replicate
+index), so results are bit-identical across runs and across any number of
+worker processes.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
-from .decision import DecisionRule, decide, mixture_superiority_batch, superiority_probability
-from .map_prior import ArmCounts, BetaMixture, build_robust_map, informative_weight, update_posterior
-from .special import log_beta_binomial_pmf_arr, sample_binomial
+from .decision import mixture_superiority_batch
 
 DEFAULT_MASTER_SEED = 20260808
 _SEED_MASK = (1 << 64) - 1
@@ -81,10 +83,6 @@ class DesignScenario:
     def pilot_treatment_rate(self) -> float:
         return self.pilot_rr_multiplier * self.risk_ratio * self.control_rate
 
-    @property
-    def rule(self) -> DecisionRule:
-        return DecisionRule(self.threshold)
-
 
 @dataclass(frozen=True)
 class PowerEstimate:
@@ -128,95 +126,40 @@ def replicate_stream(master_seed: int, n_total: int, index: int) -> np.random.Ge
 
     The replicate identity goes into the high counter words: streams with
     distinct (index, n_total) can never overlap, and the mapping does not
-    depend on scheduling or worker count.
+    depend on scheduling or worker count. :func:`simulate_batch` reproduces
+    these streams without building one generator per replicate.
     """
     bitgen = np.random.Philox(key=master_seed, counter=[0, 0, index, n_total])
     return np.random.Generator(bitgen)
 
 
-@dataclass(frozen=True)
-class ReplicateTrace:
-    """Full intermediate state of a single replicate, for debugging output."""
+class ReplicateBatch(NamedTuple):
+    """Every intermediate of a range of replicates, one row per replicate.
 
-    pilot_control: ArmCounts
-    pilot_treatment: ArmCounts
-    prior_control: BetaMixture
-    prior_treatment: BetaMixture
-    definitive_control: ArmCounts
-    definitive_treatment: ArmCounts
-    posterior_control: BetaMixture
-    posterior_treatment: BetaMixture
-    superiority: float
-    success: bool
-
-    @property
-    def updated_weight_control(self) -> float:
-        return informative_weight(self.posterior_control)
-
-    @property
-    def updated_weight_treatment(self) -> float:
-        return informative_weight(self.posterior_treatment)
-
-
-def trace_replicate(
-    scenario: DesignScenario, n_total: int, rng: np.random.Generator
-) -> ReplicateTrace:
-    """Run one replicate and keep every intermediate quantity.
-
-    Draw order is fixed (pilot control, pilot treatment, definitive control,
-    definitive treatment) so a replicate is a pure function of its stream.
+    ``draws`` has the columns (pilot control, pilot treatment, definitive
+    control, definitive treatment) and ``sizes`` the matching arm sizes.
+    ``control`` and ``treatment`` are each arm's posterior as (weights,
+    alphas, betas), each of shape (m, 2) with the vague component first.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
-    pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
-    pilot_control = ArmCounts(
-        sample_binomial(pilot_control_n, scenario.control_rate, rng), pilot_control_n
-    )
-    pilot_treatment = ArmCounts(
-        sample_binomial(pilot_treatment_n, scenario.pilot_treatment_rate, rng),
-        pilot_treatment_n,
-    )
-    prior_control = build_robust_map(pilot_control, scenario.prior_weight)
-    prior_treatment = build_robust_map(pilot_treatment, scenario.prior_weight)
 
-    control_n, treatment_n = split_arms(n_total)
-    definitive_control = ArmCounts(
-        sample_binomial(control_n, scenario.control_rate, rng), control_n
-    )
-    definitive_treatment = ArmCounts(
-        sample_binomial(treatment_n, scenario.treatment_rate, rng), treatment_n
-    )
-    posterior_control = update_posterior(prior_control, definitive_control)
-    posterior_treatment = update_posterior(prior_treatment, definitive_treatment)
-
-    superiority = superiority_probability(posterior_treatment, posterior_control)
-    return ReplicateTrace(
-        pilot_control=pilot_control,
-        pilot_treatment=pilot_treatment,
-        prior_control=prior_control,
-        prior_treatment=prior_treatment,
-        definitive_control=definitive_control,
-        definitive_treatment=definitive_treatment,
-        posterior_control=posterior_control,
-        posterior_treatment=posterior_treatment,
-        superiority=superiority,
-        success=decide(superiority, scenario.rule),
-    )
+    sizes: tuple[int, int, int, int]
+    draws: np.ndarray
+    control: tuple[np.ndarray, np.ndarray, np.ndarray]
+    treatment: tuple[np.ndarray, np.ndarray, np.ndarray]
+    superiority: np.ndarray
+    success: np.ndarray
 
 
-def simulate_replicate(scenario: DesignScenario, n_total: int, rng: np.random.Generator) -> bool:
-    """True when one simulated trial declares treatment superiority."""
-    return trace_replicate(scenario, n_total, rng).success
+def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int) -> ReplicateBatch:
+    """Replicates [start, stop) of one design, vectorized.
 
-
-def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, stop: int) -> int:
-    """Successes among replicates [start, stop), vectorized.
-
-    Reproduces simulate_replicate decision-for-decision: identical streams
-    and draw order, the same conjugate updates, the same exact exceedance
-    sum. One bit generator serves the chunk; setting its counter to
-    replicate_stream's and emptying its output buffer gives each replicate
-    the same draws as a fresh stream.
+    Replicate i takes its draws, in the column order of ``draws``, from the
+    stream ``replicate_stream(master_seed, n_total, i)``: one bit generator
+    serves the batch, and setting its counter and emptying its output
+    buffer gives each replicate the draws of a fresh stream. Every later
+    step is elementwise, so a replicate's values do not depend on the range
+    it runs in. Success is a superiority probability strictly above the
+    threshold.
     """
     count = stop - start
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
@@ -237,18 +180,69 @@ def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, sto
         y[i, 2] = rng.binomial(control_n, p_control)
         y[i, 3] = rng.binomial(treatment_n, p_treatment)
 
-    w_c, a_c, b_c = _posterior_components(
+    control = _posterior_components(
         scenario.prior_weight, y[:, 0], pilot_control_n, y[:, 2], control_n
     )
-    w_t, a_t, b_t = _posterior_components(
+    treatment = _posterior_components(
         scenario.prior_weight, y[:, 1], pilot_treatment_n, y[:, 3], treatment_n
     )
-    probs = mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c)
-    return int(np.count_nonzero(probs > scenario.threshold))
+    probs = mixture_superiority_batch(*treatment, *control)
+    return ReplicateBatch(
+        sizes=(pilot_control_n, pilot_treatment_n, control_n, treatment_n),
+        draws=y,
+        control=control,
+        treatment=treatment,
+        superiority=probs,
+        success=probs > scenario.threshold,
+    )
+
+
+def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> ReplicateBatch:
+    """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
+    if n_total < 2:
+        raise ValueError(f"n_total must be >= 2, got {n_total}")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
+    return simulate_batch(scenario, n_total, index, index + 1)
+
+
+def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, stop: int) -> int:
+    """Successes among replicates [start, stop)."""
+    return int(np.count_nonzero(simulate_batch(scenario, n_total, start, stop).success))
+
+
+def log_beta_binomial_pmf(y, n, a, b):
+    """ln P(Y = y) for Y ~ BetaBinomial(n, a, b), elementwise and unchecked.
+
+    This is the log marginal likelihood of y successes in n Bernoulli trials
+    when the success probability carries a Beta(a, b) prior; the binomial
+    coefficient is included so the value is a true log probability.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = np.asarray(n, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    log_choose = gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
+    log_beta_post = gammaln(a + y) + gammaln(b + n - y) - gammaln(a + b + n)
+    log_beta_prior = gammaln(a) + gammaln(b) - gammaln(a + b)
+    return log_choose + log_beta_post - log_beta_prior
 
 
 def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
-    """Updated mixture (weights, alphas, betas) for one arm across replicates."""
+    """Robust-MAP posterior (weights, alphas, betas) of one arm across replicates.
+
+    The prior of an arm is a robust mixture (Schmidli et al., Biometrics
+    2014): (1 - weight) Beta(1, 1), the vague component, plus weight
+    Beta(1 + y_pilot, 1 + n_pilot - y_pilot), the conjugate update of
+    Beta(1, 1) by the pilot counts. Observing y_def successes in n_def
+    updates each component's shapes by the counts and reweights it by its
+    marginal likelihood of them (the beta-binomial mass), so borrowing
+    adapts to how well the pilot agrees with the new data. The weights are
+    normalized after subtracting the larger log term, so large counts
+    cannot overflow, and a prior weight of 0 or 1 stays exactly degenerate.
+    Every shape is one plus a count, as the exact superiority sum requires.
+    Each output has shape (m, 2), vague component first.
+    """
     y_pilot = y_pilot.astype(np.float64)
     y_def = y_def.astype(np.float64)
     a_informative = 1.0 + y_pilot
@@ -256,8 +250,8 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
 
     log_w_vague = math.log1p(-weight) if weight < 1.0 else -math.inf
     log_w_informative = math.log(weight) if weight > 0.0 else -math.inf
-    log_post_vague = log_w_vague + log_beta_binomial_pmf_arr(y_def, n_def, 1.0, 1.0)
-    log_post_informative = log_w_informative + log_beta_binomial_pmf_arr(
+    log_post_vague = log_w_vague + log_beta_binomial_pmf(y_def, n_def, 1.0, 1.0)
+    log_post_informative = log_w_informative + log_beta_binomial_pmf(
         y_def, n_def, a_informative, b_informative
     )
     peak = np.maximum(log_post_vague, log_post_informative)
@@ -426,23 +420,3 @@ def find_min_sample_size(
         else:
             lo_fail = mid
     return result_for(hi_pass, achieved=True)
-
-
-def run_conflict_grid(
-    base: DesignScenario,
-    multipliers: list[float],
-    target_power: float = 0.80,
-    n_lo: int = 2,
-    n_hi: int = 20_000,
-    workers: int = 1,
-) -> list[SampleSizeResult]:
-    """Minimal sample size per pilot risk-ratio multiplier, all else shared."""
-    results = []
-    for multiplier in multipliers:
-        scenario = replace(base, pilot_rr_multiplier=multiplier)
-        results.append(
-            find_min_sample_size(
-                scenario, target_power=target_power, n_lo=n_lo, n_hi=n_hi, workers=workers
-            )
-        )
-    return results

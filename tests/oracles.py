@@ -32,11 +32,23 @@ def updated_weight_quad(weight: float, a: float, b: float, y: int, n: int) -> fl
     return weight * f_informative / (weight * f_informative + (1 - weight) * f_vague)
 
 
-def mixture_mean_quad(mixture) -> float:
+def mixture_mean_quad(weights, alphas, betas) -> float:
     """Mean of a Beta mixture by quadrature of x times the mixture pdf."""
+    components = [(w, a, b) for w, a, b in zip(weights, alphas, betas) if w > 0.0]
+
+    def pdf(x):
+        return sum(
+            w
+            * math.exp(
+                (a - 1.0) * math.log(x)
+                + (b - 1.0) * math.log1p(-x)
+                - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+            )
+            for w, a, b in components
+        )
 
     def integrand(x):
-        return x * mixture.pdf(x)
+        return x * pdf(x)
 
     value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     return value
@@ -78,21 +90,21 @@ def exceedance_mc(a1, b1, a2, b2, draws: int, seed: int) -> tuple[float, float]:
     return estimate, se
 
 
-def sample_mixture(mixture, draws: int, rng) -> np.ndarray:
-    weights = np.array(mixture.weights)
+def sample_mixture(weights, alphas, betas, draws: int, rng) -> np.ndarray:
+    weights = np.array(weights)
     choice = rng.choice(len(weights), size=draws, p=weights)
     out = np.empty(draws)
-    for idx, params in enumerate(mixture.params):
+    for idx, (alpha, beta) in enumerate(zip(alphas, betas)):
         mask = choice == idx
-        out[mask] = rng.beta(params.alpha, params.beta, int(mask.sum()))
+        out[mask] = rng.beta(alpha, beta, int(mask.sum()))
     return out
 
 
 def mixture_superiority_mc(mix_t, mix_c, draws: int, seed: int) -> tuple[float, float]:
-    """Sampling estimate of P(T > C) for two Beta mixtures."""
+    """Sampling estimate of P(T > C) for two Beta mixtures, each (weights, alphas, betas)."""
     rng = np.random.default_rng(seed)
-    t = sample_mixture(mix_t, draws, rng)
-    c = sample_mixture(mix_c, draws, rng)
+    t = sample_mixture(*mix_t, draws, rng)
+    c = sample_mixture(*mix_c, draws, rng)
     estimate = float(np.mean(t > c))
     se = math.sqrt(max(estimate * (1 - estimate), 1e-12) / draws)
     return estimate, se

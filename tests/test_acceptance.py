@@ -24,15 +24,7 @@ import numpy as np
 import pytest
 
 from pilot_borrow.config import parse_config
-from pilot_borrow.decision import superiority_probability
-from pilot_borrow.map_prior import (
-    ArmCounts,
-    BetaMixture,
-    BetaParams,
-    build_robust_map,
-    informative_weight,
-    update_posterior,
-)
+from pilot_borrow.decision import exceedance_pairs, mixture_superiority_batch
 from pilot_borrow.recruitment import (
     RecruitmentModel,
     expected_duration,
@@ -40,7 +32,12 @@ from pilot_borrow.recruitment import (
     round_months,
 )
 from pilot_borrow.runner import emit_results, run_grid
-from pilot_borrow.simulate import DesignScenario, estimate_power, find_min_sample_size
+from pilot_borrow.simulate import (
+    DesignScenario,
+    _posterior_components,
+    estimate_power,
+    find_min_sample_size,
+)
 
 from oracles import (
     exact_power_no_pilot,
@@ -303,12 +300,13 @@ def test_accept_map_weight_oracle():
         def_n = int(rng.integers(1, 500))
         def_y = int(rng.integers(0, def_n + 1))
         weight = float(rng.uniform(0.05, 0.95))
-        prior = build_robust_map(ArmCounts(pilot_y, pilot_n), weight=weight)
-        posterior = update_posterior(prior, ArmCounts(def_y, def_n))
+        weights, _, _ = _posterior_components(
+            weight, np.array([pilot_y]), pilot_n, np.array([def_y]), def_n
+        )
         expected = updated_weight_quad(
             weight, 1.0 + pilot_y, 1.0 + pilot_n - pilot_y, def_y, def_n
         )
-        worst = max(worst, abs(informative_weight(posterior) - expected))
+        worst = max(worst, abs(weights[0, 1] - expected))
     report(
         "map_weight_oracle",
         worst <= 1e-8,
@@ -316,22 +314,23 @@ def test_accept_map_weight_oracle():
     )
 
 
-def _random_posterior(rng) -> BetaMixture:
+def _random_posterior(rng):
+    """One arm's posterior (weights, alphas, betas), each of shape (1, 2)."""
     pilot_n = int(rng.integers(0, 100))
     pilot_y = int(rng.integers(0, pilot_n + 1)) if pilot_n else 0
     def_n = int(rng.integers(2, 900))
     def_y = int(rng.integers(0, def_n + 1))
-    prior = build_robust_map(ArmCounts(pilot_y, pilot_n), weight=float(rng.uniform(0.2, 0.8)))
-    return update_posterior(prior, ArmCounts(def_y, def_n))
+    weight = float(rng.uniform(0.2, 0.8))
+    return _posterior_components(weight, np.array([pilot_y]), pilot_n, np.array([def_y]), def_n)
+
+
+def _single_beta(alpha, beta):
+    return np.array([[1.0]]), np.array([[float(alpha)]]), np.array([[float(beta)]])
 
 
 def test_accept_superiority_oracle():
-    spot_tied = superiority_probability(
-        BetaMixture(((1.0, BetaParams(3, 7)),)), BetaMixture(((1.0, BetaParams(3, 7)),))
-    )
-    spot_linear = superiority_probability(
-        BetaMixture(((1.0, BetaParams(2, 1)),)), BetaMixture(((1.0, BetaParams(1, 1)),))
-    )
+    spot_tied = mixture_superiority_batch(*_single_beta(3, 7), *_single_beta(3, 7))[0]
+    spot_linear = mixture_superiority_batch(*_single_beta(2, 1), *_single_beta(1, 1))[0]
     problems = []
     if abs(spot_tied - 0.5) > 1e-8:
         problems.append(f"symmetric spot check {spot_tied!r} != 0.5")
@@ -343,8 +342,10 @@ def test_accept_superiority_oracle():
     for k in range(50):
         mix_t = _random_posterior(rng)
         mix_c = _random_posterior(rng)
-        exact = superiority_probability(mix_t, mix_c)
-        estimate, se = mixture_superiority_mc(mix_t, mix_c, 10_000_000, seed=20_000 + k)
+        exact = mixture_superiority_batch(*mix_t, *mix_c)[0]
+        estimate, se = mixture_superiority_mc(
+            tuple(v[0] for v in mix_t), tuple(v[0] for v in mix_c), 10_000_000, seed=20_000 + k
+        )
         # the plug-in SE degenerates when the sample proportion hits 0 or 1;
         # 1e-6 is about the actual resolving power of a 1e7-draw oracle
         tolerance = max(4 * se, 1e-6)
@@ -411,19 +412,17 @@ def test_power_probes_are_monotone_within_noise(figure1):
 
 def test_pair_exceedance_matches_sampling_at_scale():
     """Supplementary: single-pair exact sum vs 1e7-draw sampling, 50 pairs."""
-    from pilot_borrow.decision import beta_exceedance
-
     rng = np.random.default_rng(SEED + 2)
     for k in range(50):
         n1 = int(rng.integers(2, 1999))
         y1 = int(rng.integers(0, n1 + 1))
         n2 = int(rng.integers(2, 1999))
         y2 = int(rng.integers(0, n2 + 1))
-        t = BetaParams(1.0 + y1, 1.0 + n1 - y1)
-        c = BetaParams(1.0 + y2, 1.0 + n2 - y2)
-        estimate, se = exceedance_mc(t.alpha, t.beta, c.alpha, c.beta, 10_000_000, 30_000 + k)
-        value = beta_exceedance(t, c)
+        t = (1.0 + y1, 1.0 + n1 - y1)
+        c = (1.0 + y2, 1.0 + n2 - y2)
+        estimate, se = exceedance_mc(*t, *c, 10_000_000, 30_000 + k)
+        value = exceedance_pairs([t[0]], [t[1]], [c[0]], [c[1]])[0]
         assert abs(value - estimate) <= max(4 * se, 1e-6), (
-            f"pair {k} ({t}, {c}): exact sum {value!r} vs sampled {estimate!r} "
+            f"pair {k} (Beta{t} vs Beta{c}): exact sum {value!r} vs sampled {estimate!r} "
             f"beyond 4 oracle SE {4 * se:.2e}"
         )

@@ -1,6 +1,10 @@
+import csv
 import json
 
+import pytest
+
 from pilot_borrow.cli import EXIT_FLAGGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from pilot_borrow.simulate import DesignScenario, find_min_sample_size
 
 
 def write_config(tmp_path, **extra):
@@ -48,6 +52,14 @@ class TestPowerCommand:
         monkeypatch.setenv("PILOT_BORROW_SEED", "not-a-seed")
         code = main(["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_validation_error(self, capsys, workers):
+        code = main(
+            ["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40", "--workers", workers]
+        )
+        assert code == EXIT_VALIDATION
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestGridCommand:
@@ -126,6 +138,44 @@ class TestConflictCommand:
         assert code == EXIT_VALIDATION
 
 
+class TestRunConflictGrid:
+    def test_one_result_per_multiplier(self, tmp_path, capsys):
+        out_csv = tmp_path / "conflict.csv"
+        code = main(
+            [
+                "conflict", "--p-c", "0.3", "--rr", "2.0", "--pilot-fraction", "0.2",
+                "--multipliers", "0.85,1.0", "--w", "0.3", "--replicates", "1200",
+                "--seed", "55", "--workers", "2", "--out", str(out_csv),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out_csv.open()))
+        assert [row["rr_pilot_multiplier"] for row in rows] == ["0.85", "1"]
+        assert all(row["status"] == "ok" for row in rows)
+        # the no-conflict row must match a direct search of the base scenario
+        direct = find_min_sample_size(
+            DesignScenario(
+                control_rate=0.3, risk_ratio=2.0, pilot_fraction=0.2, prior_weight=0.3,
+                replicates=1200, master_seed=55,
+            )
+        )
+        assert rows[1]["n_total"] == str(direct.n_total)
+        assert rows[1]["pilot_total"] == str(direct.pilot_total)
+        assert rows[1]["power"] == format(direct.power_at_n.power, ".10g")
+        assert rows[1]["power_se"] == format(direct.power_at_n.standard_error, ".10g")
+
+    @pytest.mark.parametrize("multipliers", ["-0.5,1.0", "0", "1.4"])
+    def test_infeasible_multiplier_rejected(self, capsys, multipliers):
+        code = main(
+            [
+                "conflict", "--p-c", "0.6", "--rr", "1.3", f"--multipliers={multipliers}",
+                "--replicates", "200",
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
+
 class TestDurationCommand:
     def test_reference_values(self, capsys):
         code = main(["duration", "--n", "846", "--rates", "10,5"])
@@ -179,3 +229,49 @@ class TestReplicateCommand:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        "extra,expected",
+        [
+            (
+                [],
+                """\
+replicate index=3 seed=42 n_total=206
+pilot draws: control 7/21, treatment 8/20
+prior control:   0.500000 * Beta(1, 1) + 0.500000 * Beta(8, 15)
+prior treatment: 0.500000 * Beta(1, 1) + 0.500000 * Beta(9, 13)
+definitive draws: control 27/103, treatment 40/103
+posterior control:   0.250640 * Beta(28, 77) + 0.749360 * Beta(35, 91)
+posterior treatment: 0.225026 * Beta(41, 64) + 0.774974 * Beta(49, 76)
+updated informative weight: control 0.749360, treatment 0.774974
+superiority probability: 0.972962
+decision: not superior
+""",
+            ),
+            (
+                ["--w", "0.3"],
+                """\
+replicate index=3 seed=42 n_total=206
+pilot draws: control 7/21, treatment 8/20
+prior control:   0.700000 * Beta(1, 1) + 0.300000 * Beta(8, 15)
+prior treatment: 0.700000 * Beta(1, 1) + 0.300000 * Beta(9, 13)
+definitive draws: control 27/103, treatment 40/103
+posterior control:   0.438340 * Beta(28, 77) + 0.561660 * Beta(35, 91)
+posterior treatment: 0.403882 * Beta(41, 64) + 0.596118 * Beta(49, 76)
+updated informative weight: control 0.561660, treatment 0.596118
+superiority probability: 0.972866
+decision: not superior
+""",
+            ),
+        ],
+    )
+    def test_pinned_printout(self, capsys, extra, expected):
+        code = main(
+            [
+                "replicate", "--p-c", "0.25", "--rr", "1.7", "--pilot-fraction", "0.2",
+                "--n-total", "206", "--seed", "42", "--index", "3",
+            ]
+            + extra
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == expected

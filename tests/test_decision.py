@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from pilot_borrow.decision import (
-    _FORMS,
-    DecisionRule,
-    _exceedance_sum,
-    beta_exceedance,
-    decide,
-    exceedance_pairs,
-    mixture_superiority_batch,
-    superiority_probability,
-)
-from pilot_borrow.map_prior import ArmCounts, BetaMixture, BetaParams, build_robust_map, update_posterior
+from pilot_borrow.decision import _FORMS, _exceedance_sum, exceedance_pairs, mixture_superiority_batch
+from pilot_borrow.simulate import DesignScenario, _posterior_components, trace_replicate
 
 from oracles import (
     beta_exceedance_window,
@@ -23,44 +14,61 @@ from oracles import (
 
 
 def random_posterior(rng, max_n=800):
+    """One arm's robust-MAP posterior (weights, alphas, betas), each of shape (1, 2)."""
     pilot_n = int(rng.integers(0, 80))
     pilot_y = int(rng.integers(0, pilot_n + 1)) if pilot_n else 0
     def_n = int(rng.integers(2, max_n))
     def_y = int(rng.integers(0, def_n + 1))
-    prior = build_robust_map(ArmCounts(pilot_y, pilot_n), weight=float(rng.uniform(0.2, 0.8)))
-    return update_posterior(prior, ArmCounts(def_y, def_n))
+    weight = float(rng.uniform(0.2, 0.8))
+    return _posterior_components(weight, np.array([pilot_y]), pilot_n, np.array([def_y]), def_n)
+
+
+def superiority(t, c) -> float:
+    return float(mixture_superiority_batch(*t, *c)[0])
+
+
+def exceedance(a1, b1, a2, b2) -> float:
+    return float(exceedance_pairs([a1], [b1], [a2], [b2])[0])
 
 
 class TestDecide:
     def test_threshold_is_strict(self):
-        rule = DecisionRule(0.975)
-        assert decide(0.98, rule) is True
-        assert decide(0.975, rule) is False
-        assert decide(0.50, rule) is False
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2)
+        prob = float(trace_replicate(scenario, 206, 3).superiority[0])
+        assert 0.0 < prob < 1.0
+        at = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, threshold=prob)
+        below = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2,
+            threshold=float(np.nextafter(prob, 0.0)),
+        )
+        assert not trace_replicate(at, 206, 3).success[0]
+        assert trace_replicate(below, 206, 3).success[0]
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
-            DecisionRule(0.0)
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, threshold=0.0)
         with pytest.raises(ValueError):
-            DecisionRule(1.0)
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, threshold=1.0)
 
     def test_probability_domain(self):
-        with pytest.raises(ValueError):
-            decide(1.5, DecisionRule(0.975))
+        rng = np.random.default_rng(37)
+        pairs = [(random_posterior(rng, 20), random_posterior(rng, 20)) for _ in range(200)]
+        t = [np.vstack(arrays) for arrays in zip(*(t for t, _ in pairs))]
+        c = [np.vstack(arrays) for arrays in zip(*(c for _, c in pairs))]
+        probs = mixture_superiority_batch(*t, *c)
+        assert probs.min() >= 0.0 and probs.max() <= 1.0
 
 
 class TestBetaExceedance:
     def test_identical_uniforms(self):
-        assert beta_exceedance(BetaParams(1, 1), BetaParams(1, 1)) == pytest.approx(0.5, abs=1e-8)
+        assert exceedance(1, 1, 1, 1) == pytest.approx(0.5, abs=1e-8)
 
     def test_linear_vs_uniform(self):
-        assert beta_exceedance(BetaParams(2, 1), BetaParams(1, 1)) == pytest.approx(
-            2.0 / 3.0, abs=1e-8
-        )
+        assert exceedance(2, 1, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_frozen_sampling_oracle(self):
         # 1e7-draw oracle (seed 123456789): 0.4962924, se 1.58e-4
-        value = beta_exceedance(BetaParams(31, 91), BetaParams(26, 76))
+        value = exceedance(31, 91, 26, 76)
         assert value == pytest.approx(0.4962924, abs=3e-4)
 
     @pytest.mark.parametrize(
@@ -69,16 +77,14 @@ class TestBetaExceedance:
     )
     def test_against_double_quadrature(self, a1, b1, a2, b2):
         expected = exceedance_dblquad(a1, b1, a2, b2)
-        assert beta_exceedance(BetaParams(a1, b1), BetaParams(a2, b2)) == pytest.approx(
-            expected, abs=1e-7
-        )
+        assert exceedance(a1, b1, a2, b2) == pytest.approx(expected, abs=1e-7)
 
     def test_adding_a_success_never_lowers_exceedance(self):
         for a in range(1, 7):
             for b in range(1, 7):
                 for c, d in ((1, 1), (3, 2), (2, 5)):
-                    lower = beta_exceedance(BetaParams(a, b), BetaParams(c, d))
-                    higher = beta_exceedance(BetaParams(a + 1, b), BetaParams(c, d))
+                    lower = exceedance(a, b, c, d)
+                    higher = exceedance(a + 1, b, c, d)
                     assert higher >= lower - 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -88,10 +94,9 @@ class TestBetaExceedance:
         y1 = int(rng.integers(0, n1))
         n2 = int(rng.integers(100, 1999))
         y2 = int(rng.integers(0, n2))
-        t = BetaParams(1.0 + y1, 1.0 + n1 - y1)
-        c = BetaParams(1.0 + y2, 1.0 + n2 - y2)
-        estimate, se = exceedance_mc(t.alpha, t.beta, c.alpha, c.beta, 1_000_000, 900 + seed)
-        assert beta_exceedance(t, c) == pytest.approx(estimate, abs=max(4 * se, 1e-6))
+        shapes = (1.0 + y1, 1.0 + n1 - y1, 1.0 + y2, 1.0 + n2 - y2)
+        estimate, se = exceedance_mc(*shapes, 1_000_000, 900 + seed)
+        assert exceedance(*shapes) == pytest.approx(estimate, abs=max(4 * se, 1e-6))
 
 
 class TestSuperiorityProbability:
@@ -99,58 +104,38 @@ class TestSuperiorityProbability:
         rng = np.random.default_rng(3)
         for _ in range(5):
             mixture = random_posterior(rng)
-            assert superiority_probability(mixture, mixture) == pytest.approx(0.5, abs=1e-8)
+            assert superiority(mixture, mixture) == pytest.approx(0.5, abs=1e-8)
 
     def test_single_component_degenerates_to_exceedance(self):
-        t = BetaMixture(((1.0, BetaParams(2, 1)),))
-        c = BetaMixture(((1.0, BetaParams(1, 1)),))
-        assert superiority_probability(t, c) == pytest.approx(2.0 / 3.0, abs=1e-8)
+        t = (np.array([[1.0]]), np.array([[2.0]]), np.array([[1.0]]))
+        c = (np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+        assert superiority(t, c) == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
             a = random_posterior(rng)
             b = random_posterior(rng)
-            total = superiority_probability(a, b) + superiority_probability(b, a)
+            total = superiority(a, b) + superiority(b, a)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_component_order_is_irrelevant(self):
         rng = np.random.default_rng(23)
         a = random_posterior(rng)
         b = random_posterior(rng)
-        a_swapped = BetaMixture((a.components[1], a.components[0]))
-        b_swapped = BetaMixture((b.components[1], b.components[0]))
-        assert superiority_probability(a_swapped, b_swapped) == pytest.approx(
-            superiority_probability(a, b), abs=1e-12
-        )
+        a_swapped = tuple(v[:, ::-1] for v in a)
+        b_swapped = tuple(v[:, ::-1] for v in b)
+        assert superiority(a_swapped, b_swapped) == pytest.approx(superiority(a, b), abs=1e-12)
 
     def test_sampling_oracle_agreement(self):
         rng = np.random.default_rng(29)
         for seed in range(3):
             t = random_posterior(rng)
             c = random_posterior(rng)
-            estimate, se = mixture_superiority_mc(t, c, 2_000_000, 40 + seed)
-            assert superiority_probability(t, c) == pytest.approx(
-                estimate, abs=max(4 * se, 1e-6)
+            estimate, se = mixture_superiority_mc(
+                tuple(v[0] for v in t), tuple(v[0] for v in c), 2_000_000, 40 + seed
             )
-
-
-class TestBatchKernel:
-    def test_matches_scalar_path(self):
-        rng = np.random.default_rng(31)
-        mixtures = [(random_posterior(rng), random_posterior(rng)) for _ in range(50)]
-        w_t = np.array([[w for w, _ in t.components] for t, _ in mixtures])
-        a_t = np.array([[p.alpha for _, p in t.components] for t, _ in mixtures])
-        b_t = np.array([[p.beta for _, p in t.components] for t, _ in mixtures])
-        w_c = np.array([[w for w, _ in c.components] for _, c in mixtures])
-        a_c = np.array([[p.alpha for _, p in c.components] for _, c in mixtures])
-        b_c = np.array([[p.beta for _, p in c.components] for _, c in mixtures])
-        batch = mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c)
-        rule = DecisionRule(0.975)
-        for k, (t, c) in enumerate(mixtures):
-            scalar = superiority_probability(t, c)
-            assert batch[k] == pytest.approx(scalar, abs=1e-12)
-            assert decide(float(batch[k]), rule) == decide(scalar, rule)
+            assert superiority(t, c) == pytest.approx(estimate, abs=max(4 * se, 1e-6))
 
 
 def random_count_rows(rng, size, max_arm=10_000):
@@ -199,8 +184,7 @@ class TestExactSum:
         perm = rng.permutation(rows.shape[0])
         assert np.array_equal(exceedance_pairs(*rows[perm].T), values[perm])
         for k in range(0, rows.shape[0], 499):
-            alone = beta_exceedance(BetaParams(*rows[k, :2]), BetaParams(*rows[k, 2:]))
-            assert alone == values[k]
+            assert exceedance(*rows[k]) == values[k]
 
     @pytest.mark.parametrize("shape", [2.5, 0.5, np.nan, np.inf])
     def test_rejects_shapes_that_are_not_positive_integers(self, shape):

@@ -1,97 +1,77 @@
+"""The robust-MAP prior and its update, ``simulate._posterior_components``.
+
+An arm's prior is (1 - w) Beta(1, 1) + w Beta(1 + pilot successes, 1 +
+pilot failures); with an empty definitive trial the posterior is that prior.
+"""
+
 import numpy as np
 import pytest
 
-from pilot_borrow.map_prior import (
-    ArmCounts,
-    BetaMixture,
-    BetaParams,
-    build_robust_map,
-    informative_weight,
-    update_posterior,
-)
+from pilot_borrow.simulate import DesignScenario, _posterior_components
 
 from oracles import mixture_mean_quad, updated_weight_quad
 
 
-class TestTypes:
-    def test_arm_counts_validation(self):
-        ArmCounts(0, 0)
-        ArmCounts(5, 5)
-        with pytest.raises(ValueError):
-            ArmCounts(6, 5)
-        with pytest.raises(ValueError):
-            ArmCounts(-1, 5)
-        with pytest.raises(ValueError):
-            ArmCounts(0, -1)
+def update(weight, pilot, data):
+    """Posterior (weights, alphas, betas) of one arm as three length-2 rows."""
+    (y_pilot, n_pilot), (y, n) = pilot, data
+    arrays = _posterior_components(weight, np.array([y_pilot]), n_pilot, np.array([y]), n)
+    return tuple(v[0] for v in arrays)
 
-    def test_beta_params_validation(self):
-        with pytest.raises(ValueError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaParams(1.0, -2.0)
 
-    def test_mixture_validation(self):
-        with pytest.raises(ValueError):
-            BetaMixture(())
-        with pytest.raises(ValueError):
-            BetaMixture(((0.5, BetaParams(1, 1)), (0.6, BetaParams(2, 2))))
-        with pytest.raises(ValueError):
-            BetaMixture(((1.2, BetaParams(1, 1)), (-0.2, BetaParams(2, 2))))
+def informative_weight(pilot, data, weight=0.5) -> float:
+    return float(update(weight, pilot, data)[0][1])
 
 
 class TestBuildRobustMap:
     def test_basic_pilot(self):
-        mixture = build_robust_map(ArmCounts(5, 20), weight=0.5)
-        (w0, p0), (w1, p1) = mixture.components
-        assert (w0, w1) == (0.5, 0.5)
-        assert (p0.alpha, p0.beta) == (1.0, 1.0)
-        assert (p1.alpha, p1.beta) == (6.0, 16.0)
+        weights, alphas, betas = update(0.5, (5, 20), (0, 0))
+        assert tuple(weights) == (0.5, 0.5)
+        assert (alphas[0], betas[0]) == (1.0, 1.0)
+        assert (alphas[1], betas[1]) == (6.0, 16.0)
 
     def test_empty_pilot_informative_stays_at_base(self):
-        mixture = build_robust_map(ArmCounts(0, 0), weight=0.5)
-        assert mixture.params[1] == BetaParams(1.0, 1.0)
+        _, alphas, betas = update(0.5, (0, 0), (0, 0))
+        assert (alphas[1], betas[1]) == (1.0, 1.0)
 
     def test_all_successes(self):
-        mixture = build_robust_map(ArmCounts(20, 20), weight=0.5)
-        assert mixture.params[1] == BetaParams(21.0, 1.0)
+        _, alphas, betas = update(0.5, (20, 20), (0, 0))
+        assert (alphas[1], betas[1]) == (21.0, 1.0)
 
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
-            build_robust_map(ArmCounts(1, 2), weight=1.5)
-
-    def test_vague_override(self):
-        mixture = build_robust_map(ArmCounts(3, 10), weight=0.4, vague=BetaParams(2.0, 2.0))
-        assert mixture.params[0] == BetaParams(2.0, 2.0)
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, prior_weight=1.5)
+        with pytest.raises(ValueError):
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, prior_weight=-0.1)
 
 
 class TestUpdatePosterior:
     def test_empty_data_leaves_prior_untouched(self):
-        prior = build_robust_map(ArmCounts(5, 20))
-        posterior = update_posterior(prior, ArmCounts(0, 0))
-        assert posterior == prior
+        weights, alphas, betas = update(0.5, (5, 20), (0, 0))
+        assert tuple(weights) == (0.5, 0.5)
+        assert tuple(alphas) == (1.0, 6.0)
+        assert tuple(betas) == (1.0, 16.0)
 
     def test_single_component_conjugate_update(self):
-        prior = BetaMixture(((1.0, BetaParams(3.0, 4.0)),))
-        posterior = update_posterior(prior, ArmCounts(7, 10))
-        assert posterior.components == ((1.0, BetaParams(10.0, 7.0)),)
+        # weight 1 leaves only the informative Beta(3, 4) of a 2-of-5 pilot
+        weights, alphas, betas = update(1.0, (2, 5), (7, 10))
+        assert tuple(weights) == (0.0, 1.0)
+        assert (alphas[1], betas[1]) == (10.0, 7.0)
 
     def test_reference_example_parameters_and_weight(self):
-        prior = build_robust_map(ArmCounts(5, 20), weight=0.5)
-        posterior = update_posterior(prior, ArmCounts(25, 100))
-        assert posterior.params[0] == BetaParams(26.0, 76.0)
-        assert posterior.params[1] == BetaParams(31.0, 91.0)
+        weights, alphas, betas = update(0.5, (5, 20), (25, 100))
+        assert (alphas[0], betas[0]) == (26.0, 76.0)
+        assert (alphas[1], betas[1]) == (31.0, 91.0)
         # frozen from the quadrature oracle
-        assert informative_weight(posterior) == pytest.approx(0.7952003406220532, abs=1e-8)
+        assert weights[1] == pytest.approx(0.7952003406220532, abs=1e-8)
         live = updated_weight_quad(0.5, 6.0, 16.0, 25, 100)
-        assert informative_weight(posterior) == pytest.approx(live, abs=1e-8)
+        assert weights[1] == pytest.approx(live, abs=1e-8)
 
     def test_zero_and_one_weights_stay_degenerate(self):
-        all_vague = build_robust_map(ArmCounts(4, 9), weight=0.0)
-        posterior = update_posterior(all_vague, ArmCounts(10, 30))
-        assert posterior.weights == (1.0, 0.0)
-        all_informative = build_robust_map(ArmCounts(4, 9), weight=1.0)
-        posterior = update_posterior(all_informative, ArmCounts(10, 30))
-        assert posterior.weights == (0.0, 1.0)
+        weights, _, _ = update(0.0, (4, 9), (10, 30))
+        assert tuple(weights) == (1.0, 0.0)
+        weights, _, _ = update(1.0, (4, 9), (10, 30))
+        assert tuple(weights) == (0.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_weight_matches_quadrature_oracle(self, seed):
@@ -101,57 +81,30 @@ class TestUpdatePosterior:
         def_n = int(rng.integers(1, 400))
         def_y = int(rng.integers(0, def_n + 1))
         weight = float(rng.uniform(0.05, 0.95))
-        prior = build_robust_map(ArmCounts(pilot_y, pilot_n), weight=weight)
-        posterior = update_posterior(prior, ArmCounts(def_y, def_n))
+        got = informative_weight((pilot_y, pilot_n), (def_y, def_n), weight)
         expected = updated_weight_quad(weight, 1.0 + pilot_y, 1.0 + pilot_n - pilot_y, def_y, def_n)
-        assert informative_weight(posterior) == pytest.approx(expected, abs=1e-8)
-
-    def test_sequential_batches_match_single_update(self):
-        prior = build_robust_map(ArmCounts(7, 25), weight=0.5)
-        stepwise = update_posterior(update_posterior(prior, ArmCounts(10, 40)), ArmCounts(15, 60))
-        single = update_posterior(prior, ArmCounts(25, 100))
-        for (w_a, p_a), (w_b, p_b) in zip(stepwise.components, single.components):
-            assert w_a == pytest.approx(w_b, abs=1e-10)
-            assert (p_a.alpha, p_a.beta) == (p_b.alpha, p_b.beta)
-        for x in np.linspace(0.005, 0.995, 100):
-            assert stepwise.pdf(float(x)) == pytest.approx(single.pdf(float(x)), abs=1e-10)
+        assert got == pytest.approx(expected, abs=1e-8)
 
     def test_concordant_data_raises_weight_discordant_lowers_it(self):
-        prior = build_robust_map(ArmCounts(10, 20), weight=0.5)
-        concordant = update_posterior(prior, ArmCounts(250, 500))
-        discordant = update_posterior(prior, ArmCounts(450, 500))
-        assert informative_weight(concordant) > 0.5
-        assert informative_weight(discordant) < 0.5
-        assert informative_weight(concordant) == pytest.approx(
-            updated_weight_quad(0.5, 11.0, 11.0, 250, 500), abs=1e-8
-        )
-        assert informative_weight(discordant) == pytest.approx(
-            updated_weight_quad(0.5, 11.0, 11.0, 450, 500), abs=1e-8
-        )
+        concordant = informative_weight((10, 20), (250, 500))
+        discordant = informative_weight((10, 20), (450, 500))
+        assert concordant > 0.5
+        assert discordant < 0.5
+        assert concordant == pytest.approx(updated_weight_quad(0.5, 11.0, 11.0, 250, 500), abs=1e-8)
+        assert discordant == pytest.approx(updated_weight_quad(0.5, 11.0, 11.0, 450, 500), abs=1e-8)
 
     @pytest.mark.parametrize(
         "pilot,data",
         [((5, 20), (25, 100)), ((0, 0), (3, 9)), ((12, 15), (40, 60))],
     )
     def test_posterior_mean_matches_quadrature(self, pilot, data):
-        prior = build_robust_map(ArmCounts(*pilot), weight=0.5)
-        posterior = update_posterior(prior, ArmCounts(*data))
-        assert posterior.mean() == pytest.approx(mixture_mean_quad(posterior), abs=1e-12)
+        weights, alphas, betas = update(0.5, pilot, data)
+        mean = float(np.sum(weights * alphas / (alphas + betas)))
+        assert mean == pytest.approx(mixture_mean_quad(weights, alphas, betas), abs=1e-12)
 
 
 class TestInformativeWeight:
-    def test_fresh_prior(self):
-        assert informative_weight(build_robust_map(ArmCounts(5, 20), weight=0.5)) == 0.5
-
     def test_unchanged_by_empty_data(self):
-        prior = build_robust_map(ArmCounts(5, 20), weight=0.5)
-        assert informative_weight(update_posterior(prior, ArmCounts(0, 0))) == 0.5
-
-    def test_requires_two_components(self):
-        with pytest.raises(ValueError):
-            informative_weight(BetaMixture(((1.0, BetaParams(1, 1)),)))
-        three = BetaMixture(
-            ((0.2, BetaParams(1, 1)), (0.3, BetaParams(2, 2)), (0.5, BetaParams(3, 3)))
-        )
-        with pytest.raises(ValueError):
-            informative_weight(three)
+        for weight in (0.0, 0.5, 1.0):
+            assert informative_weight((5, 20), (0, 0), weight) == weight
+        assert informative_weight((5, 20), (0, 0), 0.3) == pytest.approx(0.3, abs=1e-15)

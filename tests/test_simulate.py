@@ -1,24 +1,54 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pilot_borrow.decision import beta_exceedance
-from pilot_borrow.map_prior import BetaParams
+from pilot_borrow.decision import exceedance_pairs
+from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
     DesignScenario,
     estimate_power,
     find_min_sample_size,
     pilot_size,
     replicate_stream,
-    run_conflict_grid,
-    simulate_replicate,
+    simulate_batch,
     split_arms,
     trace_replicate,
 )
 
+from oracles import beta_exceedance_window, robust_posterior_weight
+
 FAST = dict(replicates=1500, master_seed=90210)
+
+
+def stream_draws(scenario, n_total, replicates):
+    """(pilot control, pilot treatment, control, treatment) draws, one row per
+    replicate, each from its own ``replicate_stream``."""
+    pilot_c, pilot_t = split_arms(pilot_size(scenario.pilot_fraction, n_total))
+    control, treatment = split_arms(n_total)
+    arms = (
+        (pilot_c, scenario.control_rate),
+        (pilot_t, scenario.pilot_treatment_rate),
+        (control, scenario.control_rate),
+        (treatment, scenario.treatment_rate),
+    )
+    rows = []
+    for index in range(replicates):
+        rng = replicate_stream(scenario.master_seed, n_total, index)
+        rows.append([rng.binomial(n, p) for n, p in arms])
+    return np.array(rows), (pilot_c, pilot_t, control, treatment)
+
+
+def single_component_decisions(scenario, n_total, informative: bool) -> np.ndarray:
+    """Decisions when each arm keeps one Beta component: the vague Beta(1 + y,
+    1 + n - y), or the informative one, which adds the pilot counts."""
+    y, (pilot_c, pilot_t, n_c, n_t) = stream_draws(scenario, n_total, scenario.replicates)
+    y_c, y_t = y[:, 2], y[:, 3]
+    if informative:
+        y_c, y_t = y_c + y[:, 0], y_t + y[:, 1]
+        n_c, n_t = n_c + pilot_c, n_t + pilot_t
+    prob = exceedance_pairs(1 + y_t, 1 + n_t - y_t, 1 + y_c, 1 + n_c - y_c)
+    return prob > scenario.threshold
 
 
 class TestSplitArms:
@@ -85,52 +115,38 @@ class TestReplicateStream:
 class TestSimulateReplicate:
     def test_deterministic(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, **FAST)
-        first = simulate_replicate(scenario, 100, replicate_stream(scenario.master_seed, 100, 3))
-        second = simulate_replicate(scenario, 100, replicate_stream(scenario.master_seed, 100, 3))
-        assert first == second
+        first = trace_replicate(scenario, 100, 3)
+        second = trace_replicate(scenario, 100, 3)
+        assert np.array_equal(first.draws, second.draws)
+        assert np.array_equal(first.superiority, second.superiority)
+        assert first.success[0] == second.success[0]
 
     def test_requires_two_participants(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
         with pytest.raises(ValueError):
-            simulate_replicate(scenario, 1, replicate_stream(1, 1, 0))
+            trace_replicate(scenario, 1, 0)
 
     def test_trace_is_consistent(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.3, **FAST)
-        trace = trace_replicate(scenario, 120, replicate_stream(scenario.master_seed, 120, 11))
-        assert trace.pilot_control.size + trace.pilot_treatment.size == pilot_size(0.3, 120)
-        assert trace.definitive_control.size + trace.definitive_treatment.size == 120
-        assert 0.0 <= trace.superiority <= 1.0
-        assert trace.success == (trace.superiority > scenario.threshold)
-        vague, informative = trace.posterior_control.params
-        assert vague.alpha == 1.0 + trace.definitive_control.successes
-        assert informative.alpha == 1.0 + trace.pilot_control.successes + trace.definitive_control.successes
+        trace = trace_replicate(scenario, 120, 11)
+        pilot_c, pilot_t, control, treatment = trace.sizes
+        assert pilot_c + pilot_t == pilot_size(0.3, 120)
+        assert control + treatment == 120
+        assert 0.0 <= trace.superiority[0] <= 1.0
+        assert trace.success[0] == (trace.superiority[0] > scenario.threshold)
+        y_pilot_c, _, y_c, _ = trace.draws[0]
+        _, alphas, _ = trace.control
+        assert alphas[0, 0] == 1.0 + y_c
+        assert alphas[0, 1] == 1.0 + y_pilot_c + y_c
 
     def test_no_pilot_equals_vague_prior_reference(self):
-        scenario = DesignScenario(control_rate=0.3, risk_ratio=1.6, pilot_fraction=0.0, **FAST)
-        n_total = 60
-
-        def reference_decision(rng):
-            # single Beta(1,1) prior per arm, same stream consumption
-            pilot_control_n, pilot_treatment_n = split_arms(pilot_size(0.0, n_total))
-            rng.binomial(pilot_control_n, scenario.control_rate)
-            rng.binomial(pilot_treatment_n, scenario.pilot_treatment_rate)
-            control_n, treatment_n = split_arms(n_total)
-            y_c = rng.binomial(control_n, scenario.control_rate)
-            y_t = rng.binomial(treatment_n, scenario.treatment_rate)
-            prob = beta_exceedance(
-                BetaParams(1.0 + y_t, 1.0 + treatment_n - y_t),
-                BetaParams(1.0 + y_c, 1.0 + control_n - y_c),
-            )
-            return prob > scenario.threshold
-
-        for index in range(300):
-            mixture_path = simulate_replicate(
-                scenario, n_total, replicate_stream(scenario.master_seed, n_total, index)
-            )
-            vague_path = reference_decision(
-                replicate_stream(scenario.master_seed, n_total, index)
-            )
-            assert mixture_path == vague_path, f"replicate {index} diverged"
+        scenario = DesignScenario(
+            control_rate=0.3, risk_ratio=1.6, pilot_fraction=0.0, replicates=300, master_seed=90210
+        )
+        reference = single_component_decisions(scenario, 60, informative=False)
+        for index in range(scenario.replicates):
+            mixture_path = trace_replicate(scenario, 60, index).success[0]
+            assert mixture_path == reference[index], f"replicate {index} diverged"
 
 
 class TestEstimatePower:
@@ -141,10 +157,12 @@ class TestEstimatePower:
         n_total = 24
         estimate = estimate_power(scenario, n_total)
         manual = sum(
-            simulate_replicate(scenario, n_total, replicate_stream(scenario.master_seed, n_total, i))
+            bool(trace_replicate(scenario, n_total, i).success[0])
             for i in range(scenario.replicates)
         )
         assert round(estimate.power * scenario.replicates) == manual
+        draws, _ = stream_draws(scenario, n_total, scenario.replicates)
+        assert np.array_equal(simulate_batch(scenario, n_total, 0, scenario.replicates).draws, draws)
 
     def test_bit_identical_across_runs_and_workers(self):
         scenario = DesignScenario(
@@ -223,21 +241,52 @@ class TestFindMinSampleSize:
             find_min_sample_size(scenario, n_lo=100, n_hi=100)
 
 
-class TestRunConflictGrid:
-    def test_one_result_per_multiplier(self):
-        base = DesignScenario(
-            control_rate=0.3, risk_ratio=2.0, pilot_fraction=0.2, replicates=1200, master_seed=55
-        )
-        results = run_conflict_grid(base, [0.85, 1.0])
-        assert len(results) == 2
-        assert all(r.achieved for r in results)
-        # the no-conflict run must match a direct search of the base scenario
-        direct = find_min_sample_size(replace(base, pilot_rr_multiplier=1.0))
-        assert results[1] == direct
+class TestAcceptedDomain:
+    """The model at the edges of what DesignScenario accepts."""
 
-    def test_infeasible_multiplier_rejected(self):
-        base = DesignScenario(
-            control_rate=0.6, risk_ratio=1.3, pilot_fraction=0.2, replicates=1000, master_seed=55
+    def test_prior_weight_zero_is_the_vague_prior(self):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.3, prior_weight=0.0,
+            replicates=300, master_seed=606,
         )
-        with pytest.raises(ValueError):
-            run_conflict_grid(base, [1.4])
+        reference = single_component_decisions(scenario, 120, informative=False)
+        for index in range(scenario.replicates):
+            trace = trace_replicate(scenario, 120, index)
+            assert trace.control[0][0, 1] == 0.0 and trace.treatment[0][0, 1] == 0.0
+            assert trace.success[0] == reference[index], f"replicate {index} diverged"
+        assert round(estimate_power(scenario, 120).power * 300) == np.count_nonzero(reference)
+
+    def test_prior_weight_one_is_the_informative_prior(self):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_rr_multiplier=0.8, pilot_fraction=0.3,
+            prior_weight=1.0, replicates=300, master_seed=607,
+        )
+        reference = single_component_decisions(scenario, 120, informative=True)
+        for index in range(scenario.replicates):
+            trace = trace_replicate(scenario, 120, index)
+            assert trace.control[0][0, 0] == 0.0 and trace.treatment[0][0, 0] == 0.0
+            assert trace.success[0] == reference[index], f"replicate {index} diverged"
+        assert round(estimate_power(scenario, 120).power * 300) == np.count_nonzero(reference)
+
+    def test_pilot_fraction_near_one_at_the_search_ceiling(self):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.05, pilot_fraction=0.99, replicates=5, master_seed=608
+        )
+        successes = 0
+        for index in range(scenario.replicates):
+            trace = trace_replicate(scenario, SEARCH_N_HI, index)
+            sizes, draws = trace.sizes, trace.draws[0]
+            components = []
+            for pilot, arm in ((0, 2), (1, 3)):  # control, treatment
+                y_p, n_p, y, n = draws[pilot], sizes[pilot], draws[arm], sizes[arm]
+                w = float(robust_posterior_weight(scenario.prior_weight, y_p, n_p, y, n))
+                components.append([(1.0 - w, y, n), (w, y_p + y, n_p + n)])
+            control, treatment = components
+            expected = sum(
+                w_t * w_c * float(beta_exceedance_window(1 + s_t, 1 + m_t - s_t, 1 + s_c, 1 + m_c - s_c)[0])
+                for w_t, s_t, m_t in treatment
+                for w_c, s_c, m_c in control
+            )
+            assert abs(trace.superiority[0] - expected) <= 1e-9, f"replicate {index}"
+            successes += bool(trace.success[0])
+        assert round(estimate_power(scenario, SEARCH_N_HI).power * 5) == successes
