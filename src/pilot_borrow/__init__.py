@@ -12,6 +12,7 @@ from .recruitment import (
     months_for_probability,
     negbin_params,
     recruitment_probability,
+    reg_inc_beta,
     round_months,
 )
 from .runner import ResultRow, emit_results, run_grid
@@ -51,6 +52,7 @@ __all__ = [
     "parse_config",
     "pilot_size",
     "recruitment_probability",
+    "reg_inc_beta",
     "replicate_stream",
     "round_months",
     "run_grid",

@@ -49,6 +49,15 @@ def round_months(months: float) -> int:
     return int(math.floor(months + 0.5)) if months >= 0 else -int(math.floor(-months + 0.5))
 
 
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError(f"reg_inc_beta requires positive shapes, got ({a}, {b})")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
+    return float(betainc(a, b, x))
+
+
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:
     """(r, p) of the Negative Binomial count of recruits in m months."""
     if m <= 0.0:
@@ -68,7 +77,7 @@ def recruitment_probability(model: RecruitmentModel, n: int, m: float) -> float:
     if n == 0:
         return 1.0
     r, p = negbin_params(model, m)
-    return float(betainc(float(n), r, 1.0 - p))
+    return reg_inc_beta(1.0 - p, float(n), r)
 
 
 _MONTH_RESOLUTION = 0.01

@@ -6,8 +6,11 @@ pilot failures); with an empty definitive trial the posterior is that prior.
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import logsumexp
 
-from pilot_borrow.simulate import DesignScenario, _posterior_components
+from pilot_borrow.decision import exceedance_pairs
+from pilot_borrow.simulate import DesignScenario, _posterior_components, log_beta_binomial_pmf
 
 from oracles import mixture_mean_quad, updated_weight_quad
 
@@ -21,6 +24,19 @@ def update(weight, pilot, data):
 
 def informative_weight(pilot, data, weight=0.5) -> float:
     return float(update(weight, pilot, data)[0][1])
+
+
+def mixture_pdf(weights, alphas, betas, x):
+    return sum(w * stats.beta.pdf(x, a, b) for w, a, b in zip(weights, alphas, betas))
+
+
+class TestTypes:
+    def test_beta_params_validation(self):
+        # shapes are checked where they are used, by the exact exceedance sum
+        with pytest.raises(ValueError):
+            exceedance_pairs(0.0, 1.0, 2.0, 2.0)
+        with pytest.raises(ValueError):
+            exceedance_pairs(1.0, -2.0, 2.0, 2.0)
 
 
 class TestBuildRobustMap:
@@ -85,6 +101,21 @@ class TestUpdatePosterior:
         expected = updated_weight_quad(weight, 1.0 + pilot_y, 1.0 + pilot_n - pilot_y, def_y, def_n)
         assert got == pytest.approx(expected, abs=1e-8)
 
+    def test_sequential_batches_match_single_update(self):
+        # Bayes' rule applied to the posterior after 10 of 40, with 15 of 60 more
+        weights, alphas, betas = update(0.5, (7, 25), (10, 40))
+        log_w = np.log(weights) + log_beta_binomial_pmf(15, 60, alphas, betas)
+        step_weights = np.exp(log_w - logsumexp(log_w))
+        step_alphas, step_betas = alphas + 15, betas + 45
+        single = update(0.5, (7, 25), (25, 100))
+        assert step_weights == pytest.approx(single[0], abs=1e-10)
+        assert np.array_equal(step_alphas, single[1])
+        assert np.array_equal(step_betas, single[2])
+        for x in np.linspace(0.005, 0.995, 100):
+            assert mixture_pdf(step_weights, step_alphas, step_betas, x) == pytest.approx(
+                mixture_pdf(*single, x), abs=1e-10
+            )
+
     def test_concordant_data_raises_weight_discordant_lowers_it(self):
         concordant = informative_weight((10, 20), (250, 500))
         discordant = informative_weight((10, 20), (450, 500))
@@ -104,6 +135,24 @@ class TestUpdatePosterior:
 
 
 class TestInformativeWeight:
+    def test_fresh_prior(self):
+        # a batch of pilots with no definitive data: every row is the prior
+        y_pilot = np.array([0, 3, 5, 20, 11])
+        weights, alphas, betas = _posterior_components(0.5, y_pilot, 20, np.zeros(5), 0)
+        assert np.all(weights == 0.5)
+        assert np.array_equal(alphas, np.column_stack([np.ones(5), 1.0 + y_pilot]))
+        assert np.array_equal(betas, np.column_stack([np.ones(5), 21.0 - y_pilot]))
+
+    def test_requires_two_components(self):
+        # vague Beta(1, 1) first, informative second, for any batch size
+        for m in (1, 4):
+            arrays = _posterior_components(0.3, np.full(m, 2), 9, np.full(m, 5), 12)
+            assert all(v.shape == (m, 2) for v in arrays)
+            weights, alphas, betas = arrays
+            assert np.array_equal(alphas[:, 0], np.full(m, 6.0))
+            assert np.array_equal(betas[:, 0], np.full(m, 8.0))
+            assert weights.sum(axis=1) == pytest.approx(np.ones(m), abs=1e-15)
+
     def test_unchanged_by_empty_data(self):
         for weight in (0.0, 0.5, 1.0):
             assert informative_weight((5, 20), (0, 0), weight) == weight

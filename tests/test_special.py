@@ -1,13 +1,68 @@
-"""The beta-binomial log pmf behind the robust-MAP weight update."""
+"""The special functions and draws the model rests on: the Beta CDF behind
+the recruitment probability, the beta-binomial log pmf behind the robust-MAP
+weight update, and the binomial draws of each replicate."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pilot_borrow.simulate import log_beta_binomial_pmf
+from pilot_borrow.recruitment import reg_inc_beta
+from pilot_borrow.simulate import (
+    DesignScenario,
+    log_beta_binomial_pmf,
+    replicate_stream,
+    simulate_batch,
+    trace_replicate,
+)
 
 from oracles import beta_binomial_marginal_quad
+
+
+class TestRegIncBeta:
+    def test_boundaries(self):
+        assert reg_inc_beta(0.0, 3.0, 4.0) == 0.0
+        assert reg_inc_beta(1.0, 3.0, 4.0) == 1.0
+
+    @pytest.mark.parametrize("x", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
+    def test_uniform_cdf(self, x):
+        assert reg_inc_beta(x, 1.0, 1.0) == pytest.approx(x, abs=1e-14)
+
+    def test_beta22_closed_form(self):
+        # CDF of Beta(2, 2) is 3x^2 - 2x^3
+        assert reg_inc_beta(0.25, 2.0, 2.0) == pytest.approx(0.15625, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 3.0), (3.5, 40.0), (700.0, 700.0)])
+    def test_complement_identity(self, a, b):
+        for x in np.linspace(0.01, 0.99, 21):
+            total = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a)
+            assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 2.0), (2.0, 5.0), (40.0, 70.0), (900.0, 1100.0)])
+    def test_nondecreasing_in_x(self, a, b):
+        grid = np.linspace(0.0, 1.0, 101)
+        values = [reg_inc_beta(float(x), a, b) for x in grid]
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "a,b,x",
+        [(2.0, 5.0, 0.3), (0.5, 0.5, 0.2), (30.0, 70.0, 0.35), (700.0, 700.0, 0.51)],
+    )
+    def test_against_pdf_quadrature(self, a, b, x):
+        from scipy import integrate, stats
+
+        expected, _ = integrate.quad(
+            lambda t: stats.beta.pdf(t, a, b), 0.0, x, epsabs=1e-13, epsrel=1e-12, limit=200
+        )
+        assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-10)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            reg_inc_beta(-0.1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            reg_inc_beta(1.1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            reg_inc_beta(0.5, 0.0, 1.0)
 
 
 class TestLogBetaBinomialPmf:
@@ -30,3 +85,50 @@ class TestLogBetaBinomialPmf:
     def test_pmf_sums_to_one(self, a, b, n):
         total = float(np.sum(np.exp(log_beta_binomial_pmf(np.arange(n + 1), n, a, b))))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestSampleBinomial:
+    """The four binomial draws of each replicate, through ``simulate_batch``."""
+
+    def test_degenerate_probabilities(self):
+        # treatment probability 2.0 * 0.5 = 1 and no pilot
+        batch = simulate_batch(DesignScenario(control_rate=0.5, risk_ratio=2.0), 50, 0, 20)
+        assert batch.sizes == (0, 0, 25, 25)
+        assert np.all(batch.draws[:, :2] == 0)
+        assert np.all(batch.draws[:, 3] == 25)
+        # pilot treatment probability 0.25 * 2.0 * 2.0 = 1
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=2.0, pilot_rr_multiplier=2.0, pilot_fraction=0.2
+        )
+        batch = simulate_batch(scenario, 50, 0, 20)
+        assert np.all(batch.draws[:, 1] == batch.sizes[1])
+
+    def test_deterministic_given_stream(self):
+        scenario = DesignScenario(control_rate=0.3, risk_ratio=1.5, pilot_fraction=0.2)
+        draws_a = simulate_batch(scenario, 100, 0, 30).draws
+        draws_b = simulate_batch(scenario, 100, 0, 30).draws
+        assert np.array_equal(draws_a, draws_b)
+        assert np.array_equal(simulate_batch(scenario, 100, 10, 20).draws, draws_a[10:20])
+        sizes = simulate_batch(scenario, 100, 7, 8).sizes
+        probabilities = (0.3, 0.45, 0.3, 0.45)
+        rng = replicate_stream(scenario.master_seed, 100, 7)
+        assert [rng.binomial(n, p) for n, p in zip(sizes, probabilities)] == list(draws_a[7])
+
+    def test_law_of_large_numbers(self):
+        # 500,000 replicates of two Binomial(100, 0.25) definitive arms
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.0)
+        draws = 1_000_000
+        total = 0
+        for start in range(0, draws // 2, 50_000):
+            batch = simulate_batch(scenario, 200, start, start + 50_000)
+            assert batch.sizes[2:] == (100, 100)
+            total += int(batch.draws[:, 2:].sum())
+        assert abs(total / draws - 25.0) < 0.05
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            DesignScenario(control_rate=-0.1, risk_ratio=1.0)
+        with pytest.raises(ValueError):
+            DesignScenario(control_rate=0.55, risk_ratio=2.0)
+        with pytest.raises(ValueError):
+            trace_replicate(DesignScenario(control_rate=0.5, risk_ratio=1.0), -1, 0)
