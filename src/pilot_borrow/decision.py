@@ -55,8 +55,16 @@ def exceedance_pairs(a_x, b_x, a_y, b_y) -> np.ndarray:
             for v in (a_x, b_x, a_y, b_y)
         ]
     )
-    rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return _exceedance_unique(rows)[inverse.reshape(-1)]
+    # Sort the rows (first column most significant) and mark where each run of
+    # equal rows starts; NaN never compares equal, so a NaN row stays its own
+    # row and reaches the shape check.
+    order = np.lexsort(stacked.T[::-1])
+    ordered = stacked[order]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(ordered.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return _exceedance_unique(ordered[first])[inverse]
 
 
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:

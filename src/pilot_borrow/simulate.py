@@ -8,13 +8,16 @@ definitive trial, updates both posteriors and applies the superiority
 decision. Power probes count its decisions, and :func:`trace_replicate`
 runs it on a single replicate for inspection. Replicates are driven by
 counter-based Philox streams keyed on (master_seed, n_total, replicate
-index), so results are bit-identical across runs and across any number of
-worker processes.
+index), and a replicate's decision is a pure function of those three
+values, so results are bit-identical across runs, chunk layouts and any
+number of worker processes.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +28,9 @@ from .decision import mixture_superiority_batch
 DEFAULT_MASTER_SEED = 20260808
 _SEED_MASK = (1 << 64) - 1
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
-_REPLICATE_CHUNK = 4096  # fixed regardless of worker count
+# Most replicates one chunk evaluates at once, which bounds its working
+# memory. Counts do not depend on how replicates are split into chunks.
+_REPLICATE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,9 @@ class DesignScenario:
     def __post_init__(self):
         if not 0.0 < self.control_rate < 1.0:
             raise ValueError(f"control_rate must lie in (0, 1), got {self.control_rate}")
-        if self.risk_ratio <= 0.0:
+        if not self.risk_ratio > 0.0:
             raise ValueError(f"risk_ratio must be positive, got {self.risk_ratio}")
-        if self.pilot_rr_multiplier <= 0.0:
+        if not self.pilot_rr_multiplier > 0.0:
             raise ValueError(
                 f"pilot_rr_multiplier must be positive, got {self.pilot_rr_multiplier}"
             )
@@ -156,10 +161,11 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     Replicate i takes its draws, in the column order of ``draws``, from the
     stream ``replicate_stream(master_seed, n_total, i)``: one bit generator
     serves the batch, and setting its counter and emptying its output
-    buffer gives each replicate the draws of a fresh stream. Every later
-    step is elementwise, so a replicate's values do not depend on the range
-    it runs in. Success is a superiority probability strictly above the
-    threshold.
+    buffer gives each replicate the draws of a fresh stream. An empty pilot
+    arm draws nothing (numpy's binomial returns 0 for n = 0 without
+    consuming the stream), so its call is skipped. Every later step is
+    elementwise, so a replicate's values do not depend on the range it runs
+    in. Success is a superiority probability strictly above the threshold.
     """
     count = stop - start
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
@@ -169,16 +175,20 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     p_pilot_treatment = scenario.pilot_treatment_rate
 
     bitgen = np.random.Philox(key=scenario.master_seed)
-    rng = np.random.Generator(bitgen)
+    binomial = np.random.Generator(bitgen).binomial
     state = bitgen.state  # a fresh state: buffer_pos 4 and has_uint32 0, nothing buffered
-    y = np.empty((count, 4), dtype=np.int64)
+    counter = np.array([0, 0, 0, n_total], dtype=np.uint64)
+    state["state"]["counter"] = counter
+    y = np.zeros((count, 4), dtype=np.int64)
     for i in range(count):
-        state["state"]["counter"] = np.array([0, 0, start + i, n_total], dtype=np.uint64)
+        counter[2] = start + i
         bitgen.state = state
-        y[i, 0] = rng.binomial(pilot_control_n, p_control)
-        y[i, 1] = rng.binomial(pilot_treatment_n, p_pilot_treatment)
-        y[i, 2] = rng.binomial(control_n, p_control)
-        y[i, 3] = rng.binomial(treatment_n, p_treatment)
+        if pilot_control_n:
+            y[i, 0] = binomial(pilot_control_n, p_control)
+        if pilot_treatment_n:
+            y[i, 1] = binomial(pilot_treatment_n, p_pilot_treatment)
+        y[i, 2] = binomial(control_n, p_control)
+        y[i, 3] = binomial(treatment_n, p_treatment)
 
     control = _posterior_components(
         scenario.prior_weight, y[:, 0], pilot_control_n, y[:, 2], control_n
@@ -269,23 +279,37 @@ def _chunk_task(args) -> int:
     return _chunk_success_count(*args)
 
 
-def estimate_power(scenario: DesignScenario, n_total: int, workers: int = 1) -> PowerEstimate:
+def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of near-equal size, at most ``_REPLICATE_CHUNK`` each.
+
+    With several workers and more than one chunk, the chunk count is a
+    multiple of the worker count, so every worker gets an equal share.
+    """
+    k = -(-total // _REPLICATE_CHUNK)
+    if k > 1 and workers > 1:
+        k = -(-k // workers) * workers
+    return [(total * i // k, total * (i + 1) // k) for i in range(k)]
+
+
+def estimate_power(
+    scenario: DesignScenario, n_total: int, workers: int = 1, *, pool=None
+) -> PowerEstimate:
     """Fraction of scenario.replicates simulated trials declaring superiority.
 
-    Replicate streams depend only on (master_seed, n_total, index) and the
-    chunk size is fixed, so the estimate is bit-identical for any worker
-    count.
+    Each replicate's decision is a pure function of (master_seed, n_total,
+    index), and the estimate sums those decisions, so it is bit-identical
+    for any worker count and chunk layout. With ``workers > 1`` the chunks
+    run on ``pool`` when one is given (a search passes the pool it keeps for
+    all its probes), otherwise on a pool opened for this call.
     """
     if n_total < 2:
         raise ValueError(f"n_total must be >= 2, got {n_total}")
     total = scenario.replicates
-    bounds = list(range(0, total, _REPLICATE_CHUNK)) + [total]
-    tasks = [
-        (scenario, n_total, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
+    tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(_chunk_task, tasks))
+        owned = ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool)
+        with owned as running:
+            successes = sum(running.map(_chunk_task, tasks))
     else:
         successes = sum(_chunk_task(task) for task in tasks)
     power = successes / total
@@ -347,7 +371,9 @@ def find_min_sample_size(
     expansion around a normal-approximation guess brackets the crossing
     first. The power reported for the returned n comes from an independent
     verification seed. When even n_hi falls short the result carries
-    ``achieved=False`` instead of silently truncating.
+    ``achieved=False`` instead of silently truncating. With several workers
+    and more than one chunk per probe, one process pool serves every probe
+    of the search.
     """
     if not 0.0 < target_power < 1.0:
         raise ValueError(f"target_power must lie in (0, 1), got {target_power}")
@@ -356,17 +382,23 @@ def find_min_sample_size(
     if not 2 <= n_lo < n_hi:
         raise ValueError(f"need 2 <= n_lo < n_hi, got ({n_lo}, {n_hi})")
 
+    shared = workers > 1 and scenario.replicates > _REPLICATE_CHUNK
+    with ProcessPoolExecutor(max_workers=workers) if shared else nullcontext() as pool:
+        estimate = partial(estimate_power, workers=workers, pool=pool)
+        return _search(scenario, target_power, n_lo, n_hi, estimate)
+
+
+def _search(scenario, target_power, n_lo, n_hi, estimate) -> SampleSizeResult:
+    """The search of :func:`find_min_sample_size`; ``estimate(scenario, n)`` runs a probe."""
     cache: dict[int, PowerEstimate] = {}
 
     def probe(n: int) -> float:
         if n not in cache:
-            cache[n] = estimate_power(scenario, n, workers=workers)
+            cache[n] = estimate(scenario, n)
         return cache[n].power
 
     def result_for(n: int, achieved: bool) -> SampleSizeResult:
-        verification = estimate_power(
-            replace(scenario, master_seed=_mix_seed(scenario.master_seed)), n, workers=workers
-        )
+        verification = estimate(replace(scenario, master_seed=_mix_seed(scenario.master_seed)), n)
         probes = tuple(sorted((k, est.power) for k, est in cache.items()))
         return SampleSizeResult(
             n_total=n,

@@ -62,6 +62,13 @@ class TestPowerCommand:
         assert "--workers" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("rates", [["--rr", "nan"], ["--rr", "1.7", "--multiplier", "nan"]])
+    def test_nan_rate_is_validation_error(self, capsys, rates):
+        code = main(["power", "--p-c", "0.25", *rates, "--n-total", "40"])
+        assert code == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
+
+
 class TestGridCommand:
     def test_writes_csv(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pilot_borrow.decision import _FORMS, _exceedance_sum, exceedance_pairs, mixture_superiority_batch
+from pilot_borrow import decision
+from pilot_borrow.decision import (
+    _FORMS,
+    _exceedance_sum,
+    _exceedance_unique,
+    exceedance_pairs,
+    mixture_superiority_batch,
+)
 from pilot_borrow.simulate import DesignScenario, _posterior_components, trace_replicate
 
 from oracles import (
@@ -205,3 +212,60 @@ class TestExactSum:
             sums = _exceedance_sum(rows[:, columns])
             assert sums.min() >= 0.0
             assert sums.max() <= 1.0 + 1e-11
+
+
+def unique_rows_reference(rows):
+    """exceedance_pairs through np.unique(axis=0), with the rows it evaluates."""
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return _exceedance_unique(unique)[inverse.reshape(-1)], unique
+
+
+def with_duplicates(rng, rows, duplicates):
+    """``rows`` plus ``duplicates`` copies of randomly chosen rows, shuffled."""
+    copies = rows[rng.integers(0, rows.shape[0], size=duplicates)]
+    return rng.permutation(np.vstack([rows, copies]))
+
+
+class TestRowDedup:
+    def check_against_reference(self, monkeypatch, rows):
+        evaluated = []
+
+        def spy(unique):
+            evaluated.append(unique)
+            return _exceedance_unique(unique)
+
+        monkeypatch.setattr(decision, "_exceedance_unique", spy)
+        values = exceedance_pairs(*rows.T)
+        expected, unique = unique_rows_reference(rows)
+        assert np.array_equal(evaluated[0], unique)
+        assert values.tobytes() == expected.tobytes()
+
+    def test_matches_np_unique_on_count_rows(self, monkeypatch):
+        rng = np.random.default_rng(731)
+        rows = with_duplicates(rng, random_count_rows(rng, 50_000, max_arm=300), 20_000)
+        assert rows.shape == (70_000, 4)
+        self.check_against_reference(monkeypatch, rows)
+
+    @pytest.mark.parametrize("bits", [15, 21])
+    def test_shapes_above_any_packed_width(self, monkeypatch, bits):
+        # Two shapes per row sit just above 2**bits, so a key packing each
+        # shape into `bits` bits would alias rows; the other two stay small,
+        # which keeps the sum short.
+        rng = np.random.default_rng(737 + bits)
+        size = 5_000
+        large = 2.0**bits + rng.integers(-3, 4, size=(size, 2))
+        small = rng.integers(1, 30, size=(size, 2)).astype(np.float64)
+        rows = np.column_stack([large[:, 0], small[:, 0], small[:, 1], large[:, 1]])
+        rows = with_duplicates(rng, rows, 2_000)
+        self.check_against_reference(monkeypatch, rows)
+
+    def test_empty_input(self):
+        values = exceedance_pairs([], [], [], [])
+        assert values.shape == (0,) and values.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [np.nan, np.inf, 2.5])
+    def test_bad_shape_among_duplicates_still_raises(self, shape):
+        rows = np.tile([3.0, 4.0, 2.0, 5.0], (6, 1))
+        rows[[1, 4], 2] = shape
+        with pytest.raises(ValueError):
+            exceedance_pairs(*rows.T)

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pilot_borrow import simulate
 from pilot_borrow.decision import exceedance_pairs
 from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
+    _REPLICATE_CHUNK,
     DesignScenario,
+    _chunk_bounds,
     estimate_power,
     find_min_sample_size,
     pilot_size,
@@ -95,6 +98,11 @@ class TestDesignScenario:
         with pytest.raises(ValueError):
             DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=0)
 
+    @pytest.mark.parametrize("field", ["risk_ratio", "pilot_rr_multiplier"])
+    def test_nan_is_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DesignScenario(**{"control_rate": 0.25, "risk_ratio": 1.7, field: float("nan")})
+
     def test_derived_rates(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_rr_multiplier=0.8)
         assert scenario.treatment_rate == pytest.approx(0.425)
@@ -150,9 +158,13 @@ class TestSimulateReplicate:
 
 
 class TestEstimatePower:
-    def test_matches_replicate_loop_exactly(self):
+    # Of n_total = 24, 0.1 gives pilot arms of one each, 0.05 a pilot of one
+    # with an empty treatment arm, and 0.0 leaves both pilot arms empty.
+    @pytest.mark.parametrize("pilot_fraction", [0.2, 0.1, 0.05, 0.0])
+    def test_matches_replicate_loop_exactly(self, pilot_fraction):
         scenario = DesignScenario(
-            control_rate=0.3, risk_ratio=1.8, pilot_fraction=0.2, replicates=400, master_seed=5150
+            control_rate=0.3, risk_ratio=1.8, pilot_fraction=pilot_fraction, replicates=400,
+            master_seed=5150,
         )
         n_total = 24
         estimate = estimate_power(scenario, n_total)
@@ -173,6 +185,28 @@ class TestEstimatePower:
         parallel = estimate_power(scenario, 80, workers=2)
         assert serial == again
         assert serial == parallel
+
+    @pytest.mark.parametrize("replicates", [1, 4095, 4097, 8193, 10_000])
+    def test_any_chunk_layout_counts_the_same_successes(self, replicates):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=replicates,
+            master_seed=78,
+        )
+        expected = np.count_nonzero(simulate_batch(scenario, 40, 0, replicates).success)
+        for workers in (1, 2, 3):
+            estimate = estimate_power(scenario, 40, workers=workers)
+            assert round(estimate.power * replicates) == expected, f"workers={workers}"
+
+    @pytest.mark.parametrize("replicates", [1, 4095, 4096, 4097, 8193, 10_000, 40_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunks_are_balanced(self, replicates, workers):
+        bounds = _chunk_bounds(replicates, workers)
+        assert bounds[0][0] == 0 and bounds[-1][1] == replicates
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert max(sizes) <= _REPLICATE_CHUNK and max(sizes) - min(sizes) <= 1
+        if len(bounds) > 1:
+            assert len(bounds) % workers == 0
 
     def test_standard_error_formula(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
@@ -218,6 +252,34 @@ class TestFindMinSampleSize:
         first = find_min_sample_size(scenario, target_power=0.80)
         second = find_min_sample_size(scenario, target_power=0.80)
         assert first == second
+
+    def test_same_result_for_any_worker_count(self):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=2.4, pilot_fraction=0.2, replicates=4500,
+            master_seed=315,
+        )
+        serial = find_min_sample_size(scenario, target_power=0.80, workers=1)
+        for workers in (2, 3):
+            parallel = find_min_sample_size(scenario, target_power=0.80, workers=workers)
+            assert parallel.n_total == serial.n_total
+            assert parallel.probes == serial.probes
+            assert parallel.power_at_n == serial.power_at_n
+
+    def test_one_pool_serves_the_whole_search(self, monkeypatch):
+        opened = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=2.4, replicates=_REPLICATE_CHUNK + 1, master_seed=316
+        )
+        result = find_min_sample_size(scenario, target_power=0.80, workers=2)
+        assert len(result.probes) > 1
+        assert opened == [2]
 
     def test_range_exhaustion_is_explicit(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=800, master_seed=314)
