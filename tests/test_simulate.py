@@ -158,23 +158,24 @@ class TestSimulateReplicate:
 
 
 class TestEstimatePower:
-    # Of n_total = 24, 0.1 gives pilot arms of one each, 0.05 a pilot of one
-    # with an empty treatment arm, and 0.0 leaves both pilot arms empty.
-    @pytest.mark.parametrize("pilot_fraction", [0.2, 0.1, 0.05, 0.0])
-    def test_matches_replicate_loop_exactly(self, pilot_fraction):
-        scenario = DesignScenario(
-            control_rate=0.3, risk_ratio=1.8, pilot_fraction=pilot_fraction, replicates=400,
-            master_seed=5150,
-        )
+    def test_matches_replicate_loop_exactly(self):
+        # Of n_total = 24, 0.1 gives pilot arms of one each, 0.05 a pilot of
+        # one with an empty treatment arm, and 0.0 leaves both pilot arms empty.
         n_total = 24
-        estimate = estimate_power(scenario, n_total)
-        manual = sum(
-            bool(trace_replicate(scenario, n_total, i).success[0])
-            for i in range(scenario.replicates)
-        )
-        assert round(estimate.power * scenario.replicates) == manual
-        draws, _ = stream_draws(scenario, n_total, scenario.replicates)
-        assert np.array_equal(simulate_batch(scenario, n_total, 0, scenario.replicates).draws, draws)
+        for pilot_fraction in (0.2, 0.1, 0.05, 0.0):
+            scenario = DesignScenario(
+                control_rate=0.3, risk_ratio=1.8, pilot_fraction=pilot_fraction, replicates=400,
+                master_seed=5150,
+            )
+            estimate = estimate_power(scenario, n_total)
+            manual = sum(
+                bool(trace_replicate(scenario, n_total, i).success[0])
+                for i in range(scenario.replicates)
+            )
+            assert round(estimate.power * scenario.replicates) == manual, pilot_fraction
+            draws, _ = stream_draws(scenario, n_total, scenario.replicates)
+            batch = simulate_batch(scenario, n_total, 0, scenario.replicates)
+            assert np.array_equal(batch.draws, draws), pilot_fraction
 
     def test_bit_identical_across_runs_and_workers(self):
         scenario = DesignScenario(
@@ -197,16 +198,15 @@ class TestEstimatePower:
             estimate = estimate_power(scenario, 40, workers=workers)
             assert round(estimate.power * replicates) == expected, f"workers={workers}"
 
-    @pytest.mark.parametrize("replicates", [1, 4095, 4096, 4097, 8193, 10_000, 40_000])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunks_are_balanced(self, replicates, workers):
-        bounds = _chunk_bounds(replicates, workers)
-        assert bounds[0][0] == 0 and bounds[-1][1] == replicates
-        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-        sizes = [hi - lo for lo, hi in bounds]
-        assert max(sizes) <= _REPLICATE_CHUNK and max(sizes) - min(sizes) <= 1
-        if len(bounds) > 1:
-            assert len(bounds) % workers == 0
+    def test_chunks_are_balanced(self):
+        for replicates in (1, 4095, 4096, 4097, 8193, 10_000, 40_000):
+            for workers in (1, 2, 3):
+                bounds = _chunk_bounds(replicates, workers)
+                assert bounds[0][0] == 0 and bounds[-1][1] == replicates
+                assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+                sizes = [hi - lo for lo, hi in bounds]
+                assert max(sizes) <= _REPLICATE_CHUNK and max(sizes) - min(sizes) <= 1
+                assert len(bounds) == 1 or len(bounds) % workers == 0, (replicates, workers)
 
     def test_standard_error_formula(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
