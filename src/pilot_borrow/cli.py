@@ -7,7 +7,9 @@ disagreement (one grid cell per multiplier, run through the grid runner),
 ``replicate`` to print every intermediate of a single simulated trial.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 grid completed
-with flagged (infeasible or unreachable) cells.
+with flagged (infeasible or unreachable) cells. Inputs are checked where
+they are used, by the library; any ``ValueError`` becomes exit 1 with an
+``error:`` line.
 
 The environment variable ``PILOT_BORROW_SEED`` overrides the configured
 master seed; an explicit ``--seed`` flag wins over both.
@@ -94,25 +96,20 @@ def _add_scenario_args(parser: argparse.ArgumentParser, pilot_fraction_default: 
 def _scenario_from_args(args) -> DesignScenario:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        return DesignScenario(
-            control_rate=args.p_c,
-            risk_ratio=args.rr,
-            pilot_rr_multiplier=args.multiplier,
-            pilot_fraction=args.pilot_fraction,
-            threshold=args.phi,
-            prior_weight=args.w,
-            replicates=args.replicates,
-            master_seed=_resolve_seed(args.seed, DEFAULT_MASTER_SEED),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return DesignScenario(
+        control_rate=args.p_c,
+        risk_ratio=args.rr,
+        pilot_rr_multiplier=args.multiplier,
+        pilot_fraction=args.pilot_fraction,
+        threshold=args.phi,
+        prior_weight=args.w,
+        replicates=args.replicates,
+        master_seed=_resolve_seed(args.seed, DEFAULT_MASTER_SEED),
+    )
 
 
 def _cmd_power(args) -> int:
     scenario = _scenario_from_args(args)
-    if args.n_total < 2:
-        raise ConfigError(f"--n-total must be >= 2, got {args.n_total}")
     estimate = estimate_power(scenario, args.n_total, workers=args.workers)
     print(
         f"n_total={estimate.n_total} power={estimate.power:.6f} "
@@ -174,8 +171,6 @@ def _cmd_conflict(args) -> int:
             raise ConfigError(
                 f"multiplier {multiplier:g} makes the pilot success probability exceed 1"
             )
-    if not 0.0 < args.target_power < 1.0:
-        raise ConfigError("--target-power must lie in (0, 1)")
     config = RunConfig(
         cells=tuple(
             GridCell(
@@ -206,35 +201,21 @@ def _cmd_conflict(args) -> int:
 
 
 def _cmd_duration(args) -> int:
-    if args.n < 0:
-        raise ConfigError("--n must be >= 0")
-    rates = _float_list(args.rates, "--rates")
-    for rate in rates:
-        if rate <= 0:
-            raise ConfigError("--rates entries must be positive")
+    for rate in _float_list(args.rates, "--rates"):
         months = expected_duration(args.n, rate)
         print(f"rate={rate:g}/month: {months:.6g} months (display {round_months(months)})")
     return EXIT_OK
 
 
 def _cmd_recruit(args) -> int:
-    try:
-        model = RecruitmentModel(args.lambda0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.n < 0:
-        raise ConfigError("--n must be >= 0")
+    model = RecruitmentModel(args.lambda0)
     if args.months is None and args.solve is None:
         raise ConfigError("recruit needs --months and/or --solve")
     if args.months is not None:
         for m in _float_list(args.months, "--months"):
-            if m <= 0:
-                raise ConfigError("--months entries must be positive")
             prob = recruitment_probability(model, args.n, m)
             print(f"P(N >= {args.n} within {m:g} months | lambda0={args.lambda0:g}) = {prob:.6f}")
     if args.solve is not None:
-        if not 0.0 < args.solve < 1.0:
-            raise ConfigError("--solve must lie in (0, 1)")
         months = months_for_probability(model, args.n, args.solve)
         print(
             f"months for P(N >= {args.n}) >= {args.solve:g} at lambda0={args.lambda0:g}: "
@@ -249,10 +230,6 @@ def _format_mixture(weights, alphas, betas) -> str:
 
 def _cmd_replicate(args) -> int:
     scenario = _scenario_from_args(args)
-    if args.n_total < 2:
-        raise ConfigError(f"--n-total must be >= 2, got {args.n_total}")
-    if args.index < 0:
-        raise ConfigError("--index must be >= 0")
     trace = trace_replicate(scenario, args.n_total, args.index)
     (pc_n, pt_n, c_n, t_n), (pc_y, pt_y, c_y, t_y) = trace.sizes, trace.draws[0].tolist()
     w_c, a_c, b_c = (v[0] for v in trace.control)
@@ -336,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -31,6 +31,7 @@ Schema (all keys optional unless marked; unknown keys are rejected)::
     }
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -159,8 +160,7 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
-def _parse_cell(item: dict, index: int) -> GridCell:
-    where = f"scenarios[{index}]"
+def _parse_cell(item: dict, where: str) -> GridCell:
     _require(isinstance(item, dict), f"{where} must be an object")
     _check_keys(item, {"p_C", "rr", "pilot_fraction", "rr_pilot_multiplier", "w"}, where)
     _require("p_C" in item, f"{where} is missing p_C")
@@ -182,37 +182,14 @@ def _parse_cell(item: dict, index: int) -> GridCell:
 
 
 def _expand_shorthand(obj: dict) -> tuple[GridCell, ...]:
-    _check_keys(obj, {"p_C", "rr", "pilot_fraction", "rr_pilot_multiplier"}, "scenarios")
+    """Cross product of the lists, last key fastest; each cell checked as a list cell."""
+    keys = ("p_C", "rr", "pilot_fraction", "rr_pilot_multiplier")
+    _check_keys(obj, set(keys), "scenarios")
     _require("p_C" in obj, "scenarios is missing p_C")
     _require("rr" in obj, "scenarios is missing rr")
-    control_rates = [
-        _probability(v, "scenarios.p_C", open_left=True, open_right=True)
-        for v in _as_number_list(obj["p_C"], "scenarios.p_C")
-    ]
-    risk_ratios = _as_number_list(obj["rr"], "scenarios.rr")
-    for rr in risk_ratios:
-        _require(rr > 0.0, "scenarios.rr entries must be positive")
-    fractions = [
-        _probability(v, "scenarios.pilot_fraction", open_right=True)
-        for v in _as_number_list(obj.get("pilot_fraction", [0.0]), "scenarios.pilot_fraction")
-    ]
-    multipliers = _as_number_list(
-        obj.get("rr_pilot_multiplier", [1.0]), "scenarios.rr_pilot_multiplier"
-    )
-    for c in multipliers:
-        _require(c > 0.0, "scenarios.rr_pilot_multiplier entries must be positive")
-    return tuple(
-        GridCell(
-            control_rate=p_c,
-            risk_ratio=rr,
-            pilot_fraction=fraction,
-            pilot_rr_multiplier=multiplier,
-        )
-        for p_c in control_rates
-        for rr in risk_ratios
-        for fraction in fractions
-        for multiplier in multipliers
-    )
+    lists = {"pilot_fraction": [0.0], "rr_pilot_multiplier": [1.0], **obj}
+    combos = itertools.product(*(_as_number_list(lists[key], f"scenarios.{key}") for key in keys))
+    return tuple(_parse_cell(dict(zip(keys, combo)), "scenarios") for combo in combos)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -250,7 +227,7 @@ def parse_config(text: str) -> RunConfig:
         cells = _expand_shorthand(scenarios)
     elif isinstance(scenarios, list):
         _require(len(scenarios) > 0, "scenarios list must be non-empty")
-        cells = tuple(_parse_cell(item, i) for i, item in enumerate(scenarios))
+        cells = tuple(_parse_cell(item, f"scenarios[{i}]") for i, item in enumerate(scenarios))
     else:
         raise ConfigError("scenarios must be an object (shorthand) or a list of cells")
 

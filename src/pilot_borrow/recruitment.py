@@ -20,7 +20,7 @@ class RecruitmentModel:
     lambda0: float
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0:
+        if not self.lambda0 > 0.0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
 
     @property
@@ -37,7 +37,7 @@ def expected_duration(n: int, rate: float) -> float:
 
     Returns the exact quotient; use :func:`round_months` for display.
     """
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ValueError(f"recruitment rate must be positive, got {rate}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -51,7 +51,7 @@ def round_months(months: float) -> int:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError(f"reg_inc_beta requires positive shapes, got ({a}, {b})")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
@@ -60,7 +60,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:
     """(r, p) of the Negative Binomial count of recruits in m months."""
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError(f"months must be positive, got {m}")
     return model.gamma_shape, 2.0 / (2.0 + m)
 
@@ -74,9 +74,9 @@ def recruitment_probability(model: RecruitmentModel, n: int, m: float) -> float:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    r, p = negbin_params(model, m)
     if n == 0:
         return 1.0
-    r, p = negbin_params(model, m)
     return reg_inc_beta(1.0 - p, float(n), r)
 
 

@@ -216,11 +216,6 @@ def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> Repli
     return simulate_batch(scenario, n_total, index, index + 1)
 
 
-def _chunk_success_count(scenario: DesignScenario, n_total: int, start: int, stop: int) -> int:
-    """Successes among replicates [start, stop)."""
-    return int(np.count_nonzero(simulate_batch(scenario, n_total, start, stop).success))
-
-
 def log_beta_binomial_pmf(y, n, a, b):
     """ln P(Y = y) for Y ~ BetaBinomial(n, a, b), elementwise and unchecked.
 
@@ -276,7 +271,8 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
 
 
 def _chunk_task(args) -> int:
-    return _chunk_success_count(*args)
+    """Successes among replicates [start, stop) for ``args = (scenario, n_total, start, stop)``."""
+    return int(np.count_nonzero(simulate_batch(*args).success))
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:

@@ -19,6 +19,88 @@ def write_config(tmp_path, **extra):
     return path
 
 
+_CELL = ["--p-c", "0.25", "--rr", "1.7"]
+_RECRUIT = ["recruit", "--lambda0", "5", "--n", "230"]
+
+# (argv, environment, stdout lines printed before the bad input); "{config}"
+# stands for a valid grid config file
+REJECTED = [
+    # checked by the library: simulate, recruitment and DesignScenario
+    pytest.param(["power", *_CELL, "--n-total", "1"], {}, 0, id="power-n-total"),
+    pytest.param(["replicate", *_CELL, "--n-total", "1"], {}, 0, id="replicate-n-total"),
+    pytest.param(["replicate", *_CELL, "--n-total", "40", "--index", "-1"], {}, 0, id="index"),
+    pytest.param(["conflict", *_CELL, "--target-power", "1.5"], {}, 0, id="target-power"),
+    pytest.param(
+        ["conflict", *_CELL, "--target-power", "1.5", "--workers", "2", "--replicates", "200"],
+        {},
+        0,
+        id="target-power-from-pool-worker",
+    ),
+    pytest.param(["conflict", *_CELL, "--target-power", "nan"], {}, 0, id="target-power-nan"),
+    pytest.param(["duration", "--n", "-1"], {}, 0, id="duration-n"),
+    pytest.param(["duration", "--n", "100", "--rates", "0"], {}, 0, id="duration-rate"),
+    pytest.param(["duration", "--n", "100", "--rates", "5,-1"], {}, 1, id="duration-later-rate"),
+    pytest.param(["duration", "--n", "100", "--rates", "nan"], {}, 0, id="duration-rate-nan"),
+    pytest.param(["recruit", "--lambda0", "5", "--n", "-1", "--months", "46"], {}, 0, id="recruit-n"),
+    pytest.param(["recruit", "--lambda0", "5", "--n", "-1", "--solve", "0.8"], {}, 0, id="solve-n"),
+    pytest.param([*_RECRUIT, "--months", "0"], {}, 0, id="months"),
+    pytest.param([*_RECRUIT, "--months", "46,-1"], {}, 1, id="later-months"),
+    pytest.param(["recruit", "--lambda0", "5", "--n", "0", "--months", "-1"], {}, 0, id="months-n-0"),
+    pytest.param([*_RECRUIT, "--months", "nan"], {}, 0, id="months-nan"),
+    pytest.param([*_RECRUIT, "--solve", "1.5"], {}, 0, id="solve"),
+    pytest.param([*_RECRUIT, "--months", "46", "--solve", "1"], {}, 1, id="solve-after-months"),
+    pytest.param([*_RECRUIT, "--solve", "nan"], {}, 0, id="solve-nan"),
+    pytest.param(["recruit", "--lambda0", "0", "--n", "230", "--months", "46"], {}, 0, id="lambda0"),
+    pytest.param(
+        ["recruit", "--lambda0", "nan", "--n", "230", "--solve", "0.8"], {}, 0, id="lambda0-nan-solve"
+    ),
+    pytest.param(
+        ["recruit", "--lambda0", "nan", "--n", "230", "--months", "46"], {}, 0, id="lambda0-nan-months"
+    ),
+    pytest.param(["power", "--p-c", "1.5", "--rr", "1.7", "--n-total", "40"], {}, 0, id="p-c"),
+    pytest.param(["power", "--p-c", "0.6", "--rr", "1.9", "--n-total", "40"], {}, 0, id="infeasible"),
+    pytest.param(["power", *_CELL, "--phi", "1", "--n-total", "40"], {}, 0, id="phi"),
+    pytest.param(["power", *_CELL, "--w", "1.5", "--n-total", "40"], {}, 0, id="w"),
+    pytest.param(["power", *_CELL, "--pilot-fraction", "1", "--n-total", "40"], {}, 0, id="fraction"),
+    pytest.param(["power", *_CELL, "--replicates", "0", "--n-total", "40"], {}, 0, id="replicates"),
+    pytest.param(["power", *_CELL, "--seed", "-1", "--n-total", "40"], {}, 0, id="seed"),
+    pytest.param(["grid", "--config", "{config}", "--seed", "-1"], {}, 0, id="grid-seed"),
+    # checked by the command line alone
+    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
+    pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
+    pytest.param(["conflict", *_CELL, "--workers", "0"], {}, 0, id="workers-conflict"),
+    pytest.param(["grid", "--config", "{config}", "--replicates", "0"], {}, 0, id="grid-replicates"),
+    pytest.param(["grid", "--config", "{config}", "--workers", "0"], {}, 0, id="grid-workers"),
+    pytest.param(
+        ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers=-0.5,1.0"], {}, 0, id="multiplier"
+    ),
+    pytest.param(
+        ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers", "1.4"], {}, 0, id="multiplier-big"
+    ),
+    pytest.param(_RECRUIT, {}, 0, id="recruit-needs-window"),
+    pytest.param(["duration", "--n", "100", "--rates", "x"], {}, 0, id="list-not-numbers"),
+    pytest.param([*_RECRUIT, "--months", ","], {}, 0, id="list-empty"),
+    pytest.param(
+        ["power", *_CELL, "--n-total", "40"], {"PILOT_BORROW_SEED": "x"}, 0, id="env-seed-text"
+    ),
+    pytest.param(
+        ["grid", "--config", "{config}"], {"PILOT_BORROW_SEED": str(1 << 64)}, 0, id="env-seed-range"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,env,printed", REJECTED)
+def test_rejected_input_exits_1_with_one_error_line(tmp_path, capfd, monkeypatch, argv, env, printed):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    config = str(write_config(tmp_path))
+    code = main([arg.replace("{config}", config) for arg in argv])
+    out, err = capfd.readouterr()
+    assert code == EXIT_VALIDATION
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(out.splitlines()) == printed
+
+
 class TestPowerCommand:
     def test_prints_estimate(self, capsys):
         code = main(

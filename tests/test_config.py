@@ -53,6 +53,38 @@ class TestParseConfig:
         assert config.cells[0].prior_weight == 0.3
         assert config.cells[1] == GridCell(0.6, 1.3, 0.0, 1.0, 0.5)
 
+    def test_shorthand_cells_equal_list_cells(self):
+        lists = {"p_C": [0.06, 0.6], "rr": [1.3, 1.9], "pilot_fraction": [0, 0.4]}
+        cells = [
+            {"p_C": p_c, "rr": rr, "pilot_fraction": f}
+            for p_c in lists["p_C"]
+            for rr in lists["rr"]
+            for f in lists["pilot_fraction"]
+        ]
+        shorthand = parse_config(json.dumps({"scenarios": lists}))
+        assert shorthand == parse_config(json.dumps({"scenarios": cells}))
+
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("p_C", [0.25, 1.5]),
+            ("p_C", [0.0]),
+            ("p_C", ["0.25"]),
+            ("p_C", []),
+            ("rr", [1.7, -1]),
+            ("rr", [float("nan")]),
+            ("rr", 1.7),
+            ("pilot_fraction", [0.2, 1.0]),
+            ("pilot_fraction", [float("nan")]),
+            ("rr_pilot_multiplier", [1.0, 0]),
+            ("rr_pilot_multiplier", [float("nan")]),
+        ],
+    )
+    def test_shorthand_entry_rejected_with_field_name(self, key, values):
+        scenarios = {"p_C": [0.25], "rr": [1.7], key: values}
+        with pytest.raises(ConfigError, match=f"scenarios.{key}"):
+            parse_config(json.dumps({"scenarios": scenarios}))
+
     def test_infeasible_cell_is_flagged_not_fatal(self):
         text = json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}})
         config = parse_config(text)

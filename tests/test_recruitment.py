@@ -26,6 +26,10 @@ class TestRecruitmentModel:
         with pytest.raises(ValueError):
             RecruitmentModel(0.0)
 
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="lambda0"):
+            RecruitmentModel(float("nan"))
+
 
 class TestExpectedDuration:
     def test_reference_values(self):
@@ -49,6 +53,8 @@ class TestExpectedDuration:
             expected_duration(100, 0.0)
         with pytest.raises(ValueError):
             expected_duration(-1, 2.0)
+        with pytest.raises(ValueError, match="rate"):
+            expected_duration(10, float("nan"))
 
 
 class TestNegbinParams:
@@ -63,11 +69,19 @@ class TestNegbinParams:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             negbin_params(RecruitmentModel(5.0), 0.0)
+        with pytest.raises(ValueError, match="months"):
+            negbin_params(RecruitmentModel(5.0), float("nan"))
 
 
 class TestRecruitmentProbability:
     def test_zero_target_is_certain(self):
         assert recruitment_probability(RecruitmentModel(5.0), 0, 1.0) == 1.0
+        assert recruitment_probability(RecruitmentModel(5.0), 0, 5.0) == 1.0
+
+    @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
+    def test_window_checked_before_zero_target(self, m):
+        with pytest.raises(ValueError, match="months"):
+            recruitment_probability(RecruitmentModel(5.0), 0, m)
 
     def test_monotone_in_window_and_limit(self):
         model = RecruitmentModel(5.0)

@@ -63,6 +63,9 @@ class TestRegIncBeta:
             reg_inc_beta(1.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 0.0, 1.0)
+        for a, b in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                reg_inc_beta(0.5, a, b)
 
 
 class TestLogBetaBinomialPmf:
