@@ -9,7 +9,7 @@ disagreement (one grid cell per multiplier, run through the grid runner),
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 grid completed
 with flagged (infeasible or unreachable) cells. Inputs are checked where
 they are used, by the library; any ``ValueError`` becomes exit 1 with an
-``error:`` line.
+``error:`` line, and so does a usage error of the argument parser.
 
 The environment variable ``PILOT_BORROW_SEED`` overrides the configured
 master seed; an explicit ``--seed`` flag wins over both.
@@ -37,6 +37,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_FLAGGED = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
 
 
 def _env_seed() -> int | None:
@@ -252,7 +259,7 @@ def _cmd_replicate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pilot-borrow",
         description=(
             "Sample size, duration, and recruitment feasibility for definitive "
@@ -309,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

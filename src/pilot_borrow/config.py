@@ -33,6 +33,7 @@ Schema (all keys optional unless marked; unknown keys are rejected)::
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -89,6 +90,15 @@ class RunConfig:
     workers: int | None = 1  # None means "auto"
     output_path: str | None = None
     recruitment: RecruitmentPlan = field(default_factory=RecruitmentPlan)
+
+    def __post_init__(self):
+        # here rather than in parse_config, so dataclasses.replace checks it too
+        _require(
+            isinstance(self.master_seed, int)
+            and not isinstance(self.master_seed, bool)
+            and 0 <= self.master_seed < (1 << 64),
+            "master_seed must be an unsigned 64-bit integer",
+        )
 
     def resolved_workers(self) -> int:
         if self.workers is None:
@@ -238,13 +248,6 @@ def parse_config(text: str) -> RunConfig:
     replicates = _positive_int(doc.get("replicates", 10_000), "replicates")
 
     master_seed = doc.get("master_seed", DEFAULT_MASTER_SEED)
-    _require(
-        isinstance(master_seed, int)
-        and not isinstance(master_seed, bool)
-        and 0 <= master_seed < (1 << 64),
-        "master_seed must be an unsigned 64-bit integer",
-    )
-
     workers_raw = doc.get("workers", 1)
     if workers_raw == "auto":
         workers: int | None = None
@@ -264,12 +267,12 @@ def parse_config(text: str) -> RunConfig:
             _as_number_list(block.get("lambda0", [2.0, 5.0, 10.0]), "recruitment.lambda0")
         )
         for rate in rates:
-            _require(rate > 0.0, "recruitment.lambda0 entries must be positive")
+            _require(0.0 < rate < math.inf, "recruitment.lambda0 entries must be positive and finite")
         months_raw = block.get("months", [])
         _require(isinstance(months_raw, list), "recruitment.months must be a list")
         months = tuple(_as_number(v, "recruitment.months") for v in months_raw)
         for m in months:
-            _require(m > 0.0, "recruitment.months entries must be positive")
+            _require(0.0 < m < math.inf, "recruitment.months entries must be positive and finite")
         interpretation = block.get("rate_interpretation", "total")
         _require(
             interpretation in ("total", "per_arm"),

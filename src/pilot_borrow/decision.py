@@ -1,31 +1,51 @@
 """Posterior superiority probability for two independent Beta mixtures.
 
-Every Beta shape of the model is one plus a count, and for integer shapes
-P(X > Y), X ~ Beta(a1, b1), Y ~ Beta(a2, b2), is the finite sum
-(Cook, "Exact calculation of beta inequalities", 2005)
+Every Beta shape of the model is one plus a count. X ~ Beta(a_x, b_x) with
+integer shapes is then the a_x-th smallest of m = a_x + b_x - 1 uniforms,
+so X > Y exactly when fewer than a_x of them fall below Y, and
 
-    P(X > Y) = sum_{i < a1} t_i,    t_0 = B(a2, b1 + b2) / B(a2, b2),
-    t_{i+1} = t_i * (a2 + i)(b1 + i) / ((a2 + b1 + b2 + i)(1 + i)).
+    P(X > Y) = P(K <= a_x - 1),    K ~ BetaBinomial(m, a_y, b_y).
 
-Swapping X and Y (P(X > Y) = 1 - P(Y > X)) and reflecting p -> 1 - p give
-sums of length a2, b2 and b1 instead; each pair takes the shortest. Terms
-are built in log space from a running sum of log ratios, so shapes in the
-thousands neither underflow nor overflow, and both running sums are taken
-strictly in the order of i. A pair's value is therefore a pure function of
-its four shapes, whatever batch it is evaluated in. The scheme is exact and
-seed-free, so simulated power carries data-sampling noise only. Shapes that
-are not positive integers raise ValueError.
+All rows with the same (m, a_y, b_y) read their values from one cumulative
+pmf; in the model those are the replicates that pair the same control
+component with the same treatment-component total. A row with a_x > b_x is
+reflected (p -> 1 - p, which gives 1 - P(K' <= b_x - 1) with K' ~
+BetaBinomial(m, b_y, a_y)), so the orientation is fixed by the row alone.
+
+Each group's pmf is built by the ratio recurrence
+
+    pmf(j + 1) / pmf(j) = (m - j)(j + a) / ((j + 1)(m - j - 1 + b)),
+
+outward from an anchor at the floor of the mean, over a window clipped to
+[0, m], and normalized over that window; no gamma function is evaluated.
+The window reaches _WINDOW_SD standard deviations of K to each side, moved
+by _SKEW_SD sd per unit of skewness toward the longer tail (at least
+_MIN_SD sd on the shorter one): with a margin, the reach that the laws of
+the paper grid's probes need for the tolerance below. For shapes >= 1 the
+pmf is log-concave, so the ratios never increase going outward and the
+mass past an edge whose outward ratio is r < 1 is at most
+pmf(edge) r / (1 - r). Where that bound exceeds _TAIL_MASS of the window's
+mass, that side of the window is doubled and the group evaluated again.
+
+Groups are evaluated in 2-D blocks (groups x terms); every product and sum
+runs lane by lane, outward from the anchor or inward from an edge, so a
+row's value is a pure function of its four shapes, whatever batch or block
+it is evaluated in. The scheme is exact up to rounding and the bounded
+tail, and seed-free, so simulated power carries data-sampling noise only.
+Shapes that are not positive integers raise ValueError.
 """
 
 import numpy as np
-from scipy import special as sp
 
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-
-# Column orders of (a1, b1, a2, b2) for the four forms of the sum: direct,
-# swapped, reflected, reflected and swapped. The first shape of each is the
-# form's length; the swapped forms give the complement.
-_FORMS = np.array([[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0], [1, 0, 3, 2]])
+# A group's first window, in standard deviations of K: the reach to each
+# side, its shift per unit of skewness, and the least reach on either side.
+_WINDOW_SD = 10.0
+_SKEW_SD = 12.0
+_MIN_SD = 4.0
+# Largest share of a group's mass that its window may leave out.
+_TAIL_MASS = 1e-17
+# Most terms one (groups x terms) block holds, which bounds working memory.
+_BLOCK = 1 << 14
 
 # Not used by the package: perfbench/spans.py wraps these two names for its
 # decision.nodes span, which records Gauss-Legendre table builds.
@@ -68,74 +88,156 @@ def exceedance_pairs(a_x, b_x, a_y, b_y) -> np.ndarray:
 
 
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
-    """P(X > Y) per row (a1, b1, a2, b2), through the shortest form of the sum."""
+    """P(X > Y) per row (a_x, b_x, a_y, b_y), reflected when a_x > b_x."""
     if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
         raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
-    form = np.argmin(rows[:, _FORMS[:, 0]], axis=1)
-    sums = _exceedance_sum(np.take_along_axis(rows, _FORMS[form], axis=1))
-    return np.clip(np.where(form % 2 == 1, 1.0 - sums, sums), 0.0, 1.0)
-
-
-def _stirling_remainder(z: np.ndarray) -> np.ndarray:
-    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), for z >= 1."""
-    z2 = z * z
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * z2)) / z2) / z2) / z2) / z
-    direct = sp.gammaln(z) - ((z - 0.5) * np.log(z) - z + _HALF_LOG_2PI)
-    return np.where(z >= 15.0, series, direct)
-
-
-def _log_first_term(a2, b1, b2) -> np.ndarray:
-    """log t_0 = log B(a2, b1 + b2) - log B(a2, b2), elementwise.
-
-    The four log-gamma values of the two betaln calls reach 1e5 at shapes
-    near 1e4, and their difference loses up to 7e-11. Written as Stirling's
-    formula, the linear terms cancel exactly and what is left has the size
-    of log t_0 itself, which keeps the error near 1e-12.
-    """
-    d, e = np.minimum(a2, b1), np.maximum(a2, b1)
-    main = (
-        (b2 - 0.5) * np.log1p(d / b2)
-        - (b2 + e - 0.5) * np.log1p(d / (b2 + e))
-        - d * np.log1p(e / (b2 + d))
+    a_x, b_x, a_y, b_y = rows.T
+    flip = a_x > b_x
+    cdf = _beta_binomial_cdf(
+        np.minimum(a_x, b_x) - 1.0,
+        a_x + b_x - 1.0,
+        np.where(flip, b_y, a_y),
+        np.where(flip, a_y, b_y),
     )
-    return (
-        main
-        + _stirling_remainder(b2 + d)
-        + _stirling_remainder(b2 + e)
-        - _stirling_remainder(b2 + d + e)
-        - _stirling_remainder(b2)
-    )
+    return np.clip(np.where(flip, 1.0 - cdf, cdf), 0.0, 1.0)
 
 
-def _exceedance_sum(rows: np.ndarray) -> np.ndarray:
-    """sum_{i < a1} t_i per row (a1, b1, a2, b2) of integer shapes.
+def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
+    """P(K <= k), K ~ BetaBinomial(m, a, b), per row of integers with m, a, b >= 1.
 
-    One pass per term index i, vectorized over rows: rows are taken longest
-    first, so the rows that have a term i form a prefix. Each row's log term
-    and total are running sums taken in the order of i, so its value does not
-    depend on the other rows. Working memory is a few arrays of one value
-    per row.
+    Rows are grouped by (m, a, b); groups are taken in order of window
+    width, in blocks of at most _BLOCK terms, and the groups a block widens
+    go round again until none is widened.
     """
-    order = np.argsort(-rows[:, 0], kind="stable")
-    a1, b1, a2, b2 = rows[order].T
-    s = a2 + b1 + b2
-    log_term = _log_first_term(a2, b1, b2)
-    total = np.zeros(rows.shape[0])
-    num = np.empty(rows.shape[0])
-    den = np.empty(rows.shape[0])
-    longest = int(a1[0]) if a1.size else 0
-    rows_with_term = np.searchsorted(-a1, -np.arange(longest), side="left")
-    for i, m in enumerate(rows_with_term.tolist()):
-        total[:m] += np.exp(log_term[:m], out=num[:m])
-        np.add(a2[:m], i, out=num[:m])
-        num[:m] *= b1[:m] + i
-        np.add(s[:m], i, out=den[:m])
-        den[:m] *= 1.0 + i
-        num[:m] /= den[:m]
-        log_term[:m] += np.log(num[:m], out=num[:m])
-    result = np.empty(rows.shape[0])
-    result[order] = total
-    return result
+    k, m, a, b = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (k, m, a, b))
+    size = k.shape[0]
+    values = np.empty(size)
+    if size == 0:
+        return values
+    order = np.lexsort((b, a, m))
+    keys = np.column_stack([m, a, b])[order]
+    first = np.ones(size, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    row_start = np.flatnonzero(first)
+    row_count = np.diff(np.append(row_start, size))
+    cut = k[order]
+    gm, ga, gb = keys[first].T
+    s = ga + gb
+    anchor = np.floor(gm * ga / s)
+    sd = np.sqrt(gm * ga * gb * (s + gm) / (s * s * (s + 1.0)))
+    skew = (gb - ga) * (2.0 * gm + s) / ((s + 2.0) * s * sd)
+    # terms of the window below and above the anchor
+    below = np.minimum(anchor, np.ceil(sd * np.maximum(_WINDOW_SD - _SKEW_SD * skew, _MIN_SD)))
+    above = np.minimum(gm - anchor, np.ceil(sd * np.maximum(_WINDOW_SD + _SKEW_SD * skew, _MIN_SD)))
+    below, above = below.astype(np.int64), above.astype(np.int64)
+    found = np.empty(size)
+    pending = np.arange(gm.shape[0])
+    while pending.size:
+        widths = below[pending] + above[pending] + 1
+        by_width = np.argsort(widths, kind="stable")
+        pending, widths = pending[by_width], widths[by_width]
+        count = row_count[pending]
+        bounds = np.concatenate([[0], np.cumsum(count)])
+        rows = np.repeat(row_start[pending] - bounds[:-1], count) + np.arange(bounds[-1])
+        local = np.repeat(np.arange(pending.size), count)
+        m_, a_, b_, j0, lo, hi = (v[pending] for v in (gm, ga, gb, anchor, below, above))
+        up_edge, down_edge, total = np.empty((3, pending.size))
+        start = 0
+        while start < pending.size:
+            # widths ascend, so the last group of a block is its widest
+            ahead = widths[start : start + max(1, _BLOCK // int(widths[start]))]
+            fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK
+            stop = start + max(1, int(np.count_nonzero(fits)))
+            block, span = slice(start, stop), slice(bounds[start], bounds[stop])
+            found[rows[span]], up_edge[block], down_edge[block], total[block] = _window_block(
+                m_[block], a_[block], b_[block], j0[block], lo[block], hi[block],
+                local[span] - start, cut[rows[span]],
+            )
+            start = stop
+        new_hi = _widen(up_edge, m_, a_, b_, j0, hi, total)
+        new_lo = _widen(down_edge, m_, b_, a_, m_ - j0, lo, total)
+        below[pending], above[pending] = new_lo, new_hi
+        pending = pending[(new_lo != lo) | (new_hi != hi)]
+    values[order] = found
+    return values
+
+
+def _window_block(m, a, b, anchor, below, above, local, cut):
+    """CDF values of one block of groups, with each group's edge terms and window mass.
+
+    ``local`` gives each row's group within the block and ``cut`` its k.
+    Returns (values, upper edge, lower edge, total): the edges are
+    pmf(anchor + above) and pmf(anchor - below) over pmf(anchor), and the
+    total is the window's mass on that scale.
+    """
+    # The lower side is the upper side of the reflected law: pmf(anchor - x)
+    # of BetaBinomial(m, a, b) is pmf(m - anchor + x) of BetaBinomial(m, b, a).
+    up = _side(m, a, b, anchor, above)
+    down = _side(m, b, a, m - anchor, below)
+    # down_tail[:, x - 1] sums the terms anchor - x and lower, taken inward
+    # from the edge, so padded lanes add exact zeros first.
+    down_tail = np.cumsum(down[:, :0:-1], axis=1)[:, ::-1]
+    upto = np.cumsum(up, axis=1)
+    upto += down_tail[:, :1]
+    total = upto[:, -1]
+
+    offset = cut - anchor[local]
+    up_lane = np.clip(offset, 0.0, above[local]).astype(np.int64)
+    down_lane = np.maximum(-offset, 1.0)
+    inside = down_lane <= below[local]
+    down_lane = np.minimum(down_lane, down_tail.shape[1]).astype(np.int64) - 1
+    numer = np.where(
+        offset >= 0.0,
+        upto[local, up_lane],
+        np.where(inside, down_tail[local, down_lane], 0.0),
+    )
+    values = numer / total[local]
+
+    groups = np.arange(m.size)
+    return values, up[groups, above], down[groups, below], total
+
+
+def _side(m, a, b, anchor, terms):
+    """pmf(anchor + x) / pmf(anchor) of BetaBinomial(m, a, b) in lane x of a block.
+
+    A running product of the ratios pmf(j + 1) / pmf(j) = (m - j)(j + a) /
+    ((j + 1)(m - j - 1 + b)), written in x = j + 1 - anchor. Lane 0 is 1,
+    lanes past a group's ``terms`` are 0, and there is always a lane 1.
+    """
+    x = np.arange(1.0, max(int(terms.max()), 1) + 1.0)
+    p, q, u, v = (col[:, None] for col in _ratio_terms(m, a, b, anchor))
+    num = p - x
+    num *= q + x
+    den = u + x
+    den *= v - x
+    out = np.zeros((m.size, x.size + 1))
+    out[:, 0] = 1.0
+    np.divide(num, den, out=out[:, 1:], where=x <= terms[:, None])
+    np.cumprod(out, axis=1, out=out)
+    return out
+
+
+def _ratio_terms(m, a, b, anchor):
+    """(p, q, u, v) with pmf(anchor + x) / pmf(anchor + x - 1) = (p - x)(q + x) / ((u + x)(v - x))."""
+    return m - anchor + 1.0, anchor + a - 1.0, anchor, m - anchor + b
+
+
+def _widen(edge, m, a, b, anchor, terms, total):
+    """Terms above the anchor of each group's window after the tail check.
+
+    The lower side is checked as the upper side of the reflected law.
+    ``edge`` is pmf(anchor + terms) / pmf(anchor). Past an edge below m with
+    outward ratio r < 1, log-concavity bounds the mass left out by
+    edge * r / (1 - r). A side whose bound exceeds half of _TAIL_MASS *
+    total, or that does not decay at its edge, doubles its terms, up to m.
+    """
+    limit = m - anchor
+    open_ = terms < limit
+    p, q, u, v = _ratio_terms(m, a, b, anchor)
+    x = terms + 1.0
+    r = np.divide((p - x) * (q + x), (u + x) * (v - x), out=np.zeros(m.size), where=open_)
+    short = open_ & ((r >= 1.0) | (edge * r > 0.5 * _TAIL_MASS * total * (1.0 - r)))
+    return np.where(short, np.minimum(2 * terms + 1, limit).astype(np.int64), terms)
 
 
 def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:

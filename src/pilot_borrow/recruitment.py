@@ -20,8 +20,8 @@ class RecruitmentModel:
     lambda0: float
 
     def __post_init__(self):
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
 
     @property
     def gamma_shape(self) -> float:
@@ -37,8 +37,8 @@ def expected_duration(n: int, rate: float) -> float:
 
     Returns the exact quotient; use :func:`round_months` for display.
     """
-    if not rate > 0.0:
-        raise ValueError(f"recruitment rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"recruitment rate must be positive and finite, got {rate}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return n / rate
@@ -60,8 +60,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:
     """(r, p) of the Negative Binomial count of recruits in m months."""
-    if not m > 0.0:
-        raise ValueError(f"months must be positive, got {m}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"months must be positive and finite, got {m}")
     return model.gamma_shape, 2.0 / (2.0 + m)
 
 

@@ -3,12 +3,14 @@
 Nothing here may share code paths with the package, and nothing here imports
 from ``pilot_borrow``: marginal likelihoods come from adaptive quadrature of
 the integrand or from scipy's beta-binomial pmf, exceedance probabilities
-from pairwise sampling, 2-d quadrature, a closed-form sum for integer shapes
-or a windowed Gauss-Legendre rule over scipy's incomplete beta, design power
-from exact enumeration or an independent sampler, and Negative-Binomial
-tails from direct pmf summation or Gamma-Poisson sampling.
+from pairwise sampling, 2-d quadrature, a closed-form sum for integer
+shapes, a 50-digit ``decimal`` beta-binomial sum or a windowed
+Gauss-Legendre rule over scipy's incomplete beta, design power from exact
+enumeration or an independent sampler, and Negative-Binomial tails from
+direct pmf summation or Gamma-Poisson sampling.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -78,6 +80,28 @@ def exceedance_integer_shapes(a1: int, b1: int, a2: int, b2: int) -> float:
         - special.betaln(a2, b2)
     )
     return float(np.sum(np.exp(log_terms)))
+
+
+def exceedance_decimal(a1: int, b1: int, a2: int, b2: int) -> float:
+    """P(X > Y) for integer shapes as a beta-binomial CDF, in 50-digit decimal.
+
+    X ~ Beta(a1, b1) is the a1-th smallest of m = a1 + b1 - 1 uniforms, so
+    P(X > Y) = P(K <= a1 - 1) for K ~ BetaBinomial(m, a2, b2). P(K = 0) is
+    the product of (b2 + i) / (a2 + b2 + i) over i < m, each later term is
+    the one before times (m - j)(j + a2) / ((j + 1)(m - j - 1 + b2)), and
+    all a1 terms are summed from j = 0.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        m = a1 + b1 - 1
+        term = decimal.Decimal(1)
+        for i in range(m):
+            term = term * (b2 + i) / (a2 + b2 + i)
+        total = decimal.Decimal(0)
+        for j in range(a1):
+            total += term
+            term = term * ((m - j) * (j + a2)) / ((j + 1) * (m - j - 1 + b2))
+        return float(total)
 
 
 def exceedance_mc(a1, b1, a2, b2, draws: int, seed: int) -> tuple[float, float]:

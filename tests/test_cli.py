@@ -65,6 +65,12 @@ REJECTED = [
     pytest.param(["power", *_CELL, "--replicates", "0", "--n-total", "40"], {}, 0, id="replicates"),
     pytest.param(["power", *_CELL, "--seed", "-1", "--n-total", "40"], {}, 0, id="seed"),
     pytest.param(["grid", "--config", "{config}", "--seed", "-1"], {}, 0, id="grid-seed"),
+    pytest.param(["grid", "--config", "{infeasible}", "--seed", "-1"], {}, 0, id="grid-seed-no-cell-run"),
+    pytest.param(
+        ["recruit", "--lambda0", "inf", "--n", "230", "--months", "46"], {}, 0, id="lambda0-inf"
+    ),
+    pytest.param([*_RECRUIT, "--months", "inf"], {}, 0, id="months-inf"),
+    pytest.param(["duration", "--n", "100", "--rates", "inf"], {}, 0, id="duration-rate-inf"),
     # checked by the command line alone
     pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
@@ -78,6 +84,10 @@ REJECTED = [
         ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers", "1.4"], {}, 0, id="multiplier-big"
     ),
     pytest.param(_RECRUIT, {}, 0, id="recruit-needs-window"),
+    # usage errors of the argument parser
+    pytest.param(["power", *_CELL, "--n-total", "abc"], {}, 0, id="usage-not-an-int"),
+    pytest.param(["power", *_CELL], {}, 0, id="usage-missing-argument"),
+    pytest.param(["bogus"], {}, 0, id="usage-unknown-command"),
     pytest.param(["duration", "--n", "100", "--rates", "x"], {}, 0, id="list-not-numbers"),
     pytest.param([*_RECRUIT, "--months", ","], {}, 0, id="list-empty"),
     pytest.param(
@@ -94,7 +104,11 @@ def test_rejected_input_exits_1_with_one_error_line(tmp_path, capfd, monkeypatch
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     config = str(write_config(tmp_path))
-    code = main([arg.replace("{config}", config) for arg in argv])
+    # every cell infeasible, so no cell runs
+    infeasible = tmp_path / "infeasible.json"
+    infeasible.write_text(json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}}))
+    argv = [arg.replace("{config}", config).replace("{infeasible}", str(infeasible)) for arg in argv]
+    code = main(argv)
     out, err = capfd.readouterr()
     assert code == EXIT_VALIDATION
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -142,6 +143,20 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="lambda0"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", ["lambda0", "months"])
+    def test_infinite_recruitment_entry_rejected(self, key):
+        # json.dumps writes Infinity, which json.loads reads back as inf
+        block = {"lambda0": [5], "months": [46], key: [float("inf")]}
+        text = json.dumps({"scenarios": {"p_C": [0.25], "rr": [1.7]}, "recruitment": block})
+        with pytest.raises(ConfigError, match=f"recruitment.{key}"):
+            parse_config(text)
+
+    def test_seed_checked_when_a_config_is_replaced(self):
+        config = parse_config(json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}}))
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ConfigError, match="master_seed"):
+                replace(config, master_seed=seed)
 
     def test_round_trip_through_canonical_json(self):
         text = json.dumps(

@@ -3,8 +3,7 @@ import pytest
 
 from pilot_borrow import decision
 from pilot_borrow.decision import (
-    _FORMS,
-    _exceedance_sum,
+    _beta_binomial_cdf,
     _exceedance_unique,
     exceedance_pairs,
     mixture_superiority_batch,
@@ -13,6 +12,7 @@ from pilot_borrow.simulate import DesignScenario, _posterior_components, trace_r
 
 from oracles import (
     beta_exceedance_window,
+    exceedance_decimal,
     exceedance_dblquad,
     exceedance_integer_shapes,
     exceedance_mc,
@@ -154,6 +154,36 @@ def random_count_rows(rng, size, max_arm=10_000):
     return np.column_stack(shapes).astype(np.float64)
 
 
+def heavy_tailed_rows(rng, size, max_arm=10_000):
+    """Count rows in which one Beta has a shape of 1 to 3 and the other shape up to max_arm.
+
+    Such a Beta sits near 0 or 1 with a long tail, and so does the
+    beta-binomial law whose CDF gives the row's value.
+    """
+    rows = random_count_rows(rng, size, max_arm)
+    index = np.arange(size)
+    column = rng.integers(0, 4, size=size)
+    rows[index, column] = rng.integers(1, 4, size=size)
+    rows[index, column ^ 1] = rng.integers(1, max_arm + 1, size=size)
+    return rows
+
+
+def form_cdfs(rows):
+    """The beta-binomial CDF value of each row (a1, b1, a2, b2) in four forms, unclipped.
+
+    As given, P(X > Y); swapped, P(Y > X); reflected (p -> 1 - p),
+    P(1 - X > 1 - Y) = P(Y > X); and both, P(1 - Y > 1 - X) = P(X > Y).
+    Each reads a different law and cut-off.
+    """
+    a1, b1, a2, b2 = rows.T
+    return [
+        _beta_binomial_cdf(a1 - 1, a1 + b1 - 1, a2, b2),
+        _beta_binomial_cdf(a2 - 1, a2 + b2 - 1, a1, b1),
+        _beta_binomial_cdf(b1 - 1, a1 + b1 - 1, b2, a2),
+        _beta_binomial_cdf(b2 - 1, a2 + b2 - 1, b1, a1),
+    ]
+
+
 class TestExactSum:
     @pytest.mark.parametrize("seed", range(3))
     def test_against_oracles_up_to_arm_size_ten_thousand(self, seed):
@@ -166,7 +196,8 @@ class TestExactSum:
         assert np.max(np.abs(values - closed)) <= 1e-9
 
     def test_swapping_the_pair_gives_the_complement(self):
-        rows = random_count_rows(np.random.default_rng(711), 500)
+        rng = np.random.default_rng(711)
+        rows = np.vstack([random_count_rows(rng, 500), heavy_tailed_rows(rng, 500)])
         forward = exceedance_pairs(*rows.T)
         backward = exceedance_pairs(rows[:, 2], rows[:, 3], rows[:, 0], rows[:, 1])
         assert np.max(np.abs(forward + backward - 1.0)) <= 1e-12
@@ -176,13 +207,26 @@ class TestExactSum:
         rows = random_count_rows(rng, 200, max_arm=2000)
         tied = rng.integers(1, 400, size=(50, 1)).astype(np.float64)
         ties = np.column_stack([tied, tied, tied, tied + rng.integers(0, 3, size=(50, 1))])
-        rows = np.vstack([rows, ties, ties[:, [3, 2, 1, 0]]])
-        values = []
-        for form, columns in enumerate(_FORMS):
-            sums = _exceedance_sum(rows[:, columns])
-            values.append(1.0 - sums if form % 2 else sums)
+        rows = np.vstack([rows, ties, ties[:, [3, 2, 1, 0]], heavy_tailed_rows(rng, 200)])
+        given, swapped, reflected, both = form_cdfs(rows)
+        values = [given, 1.0 - swapped, 1.0 - reflected, both]
         for other in values[1:]:
             assert np.max(np.abs(other - values[0])) <= 1e-11
+
+    def test_widening_alone_reaches_the_tolerance(self, monkeypatch):
+        # First windows of one standard deviation leave out about a third of
+        # the mass; the tail bound must widen every group until the values
+        # match those of the default windows and the exact sums.
+        rng = np.random.default_rng(727)
+        rows = np.vstack([random_count_rows(rng, 300), heavy_tailed_rows(rng, 300)])
+        rows[0] = (2501, 7501, 2401, 7601)
+        expected = exceedance_pairs(*rows.T)
+        monkeypatch.setattr(decision, "_WINDOW_SD", 1.0)
+        monkeypatch.setattr(decision, "_SKEW_SD", 0.0)
+        monkeypatch.setattr(decision, "_MIN_SD", 1.0)
+        assert np.max(np.abs(exceedance_pairs(*rows.T) - expected)) <= 1e-13
+        for row in rows[:8]:
+            assert exceedance(*row) == pytest.approx(exceedance_decimal(*map(int, row)), abs=1e-12)
 
     def test_value_does_not_depend_on_the_batch(self):
         rng = np.random.default_rng(717)
@@ -199,19 +243,26 @@ class TestExactSum:
             exceedance_pairs([shape], [3.0], [2.0], [4.0])
 
     def test_raw_sums_stay_within_the_unit_interval(self):
-        # Every form's sum is a probability. Rounding of log t_i, whose size
-        # reaches about 2700 at these shapes, leaves up to a few 1e-12 above 1.
-        rows = random_count_rows(np.random.default_rng(719), 400)
+        # Every form is a probability: a running sum of nonnegative terms
+        # over the window's total.
+        rng = np.random.default_rng(719)
+        rows = np.vstack([random_count_rows(rng, 400), heavy_tailed_rows(rng, 200)])
         rows[:4] = [
             (2971, 7031, 3001, 7001),
             (7001, 3001, 6901, 3101),
             (5001, 5001, 5001, 5001),
             (1, 1, 1, 1),
         ]
-        for form, columns in enumerate(_FORMS):
-            sums = _exceedance_sum(rows[:, columns])
-            assert sums.min() >= 0.0
-            assert sums.max() <= 1.0 + 1e-11
+        for cdf in form_cdfs(rows):
+            assert cdf.min() >= 0.0
+            assert cdf.max() <= 1.0 + 1e-11
+
+    def test_against_the_decimal_oracle(self):
+        rng = np.random.default_rng(723)
+        rows = np.vstack([random_count_rows(rng, 40), heavy_tailed_rows(rng, 20)])
+        rows[0] = (2501, 7501, 2401, 7601)  # both arms of n = 20000, p near 0.25
+        expected = np.array([exceedance_decimal(*map(int, row)) for row in rows])
+        assert np.max(np.abs(exceedance_pairs(*rows.T) - expected)) <= 1e-12
 
 
 def unique_rows_reference(rows):

@@ -18,6 +18,7 @@ from scipy import stats
 from oracles import (
     beta_exceedance_window,
     exact_power_no_pilot,
+    exceedance_decimal,
     exceedance_dblquad,
     exceedance_integer_shapes,
     exceedance_mc,
@@ -42,6 +43,17 @@ def test_oracles_import_nothing_from_the_package():
 def test_integer_shape_closed_form_against_double_quadrature(a1, b1, a2, b2):
     expected = exceedance_dblquad(a1, b1, a2, b2)
     assert exceedance_integer_shapes(a1, b1, a2, b2) == pytest.approx(expected, abs=1e-10)
+    assert exceedance_decimal(a1, b1, a2, b2) == pytest.approx(expected, abs=1e-10)
+
+
+def test_decimal_sum_against_closed_form_and_window():
+    assert exceedance_decimal(1, 1, 1, 1) == 0.5
+    assert exceedance_decimal(2, 1, 1, 1) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    for shapes in [(371, 1003, 300, 1050), (2001, 6001, 4, 10), (9, 3, 2900, 1100), (2, 40, 1, 3)]:
+        closed = exceedance_integer_shapes(*shapes)
+        assert exceedance_decimal(*shapes) == pytest.approx(closed, abs=1e-9)
+        window = beta_exceedance_window(*shapes)[0]
+        assert exceedance_decimal(*shapes) == pytest.approx(window, abs=1e-9)
 
 
 class TestBetaExceedanceWindow:

@@ -30,6 +30,10 @@ class TestRecruitmentModel:
         with pytest.raises(ValueError, match="lambda0"):
             RecruitmentModel(float("nan"))
 
+    def test_rejects_infinite_rate(self):
+        with pytest.raises(ValueError, match="lambda0"):
+            RecruitmentModel(float("inf"))
+
 
 class TestExpectedDuration:
     def test_reference_values(self):
@@ -55,6 +59,8 @@ class TestExpectedDuration:
             expected_duration(-1, 2.0)
         with pytest.raises(ValueError, match="rate"):
             expected_duration(10, float("nan"))
+        with pytest.raises(ValueError, match="rate"):
+            expected_duration(10, float("inf"))
 
 
 class TestNegbinParams:
@@ -71,6 +77,8 @@ class TestNegbinParams:
             negbin_params(RecruitmentModel(5.0), 0.0)
         with pytest.raises(ValueError, match="months"):
             negbin_params(RecruitmentModel(5.0), float("nan"))
+        with pytest.raises(ValueError, match="months"):
+            negbin_params(RecruitmentModel(5.0), float("inf"))
 
 
 class TestRecruitmentProbability:
@@ -78,7 +86,7 @@ class TestRecruitmentProbability:
         assert recruitment_probability(RecruitmentModel(5.0), 0, 1.0) == 1.0
         assert recruitment_probability(RecruitmentModel(5.0), 0, 5.0) == 1.0
 
-    @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
+    @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan"), float("inf")])
     def test_window_checked_before_zero_target(self, m):
         with pytest.raises(ValueError, match="months"):
             recruitment_probability(RecruitmentModel(5.0), 0, m)
