@@ -150,22 +150,7 @@ def _cmd_grid(args) -> int:
         overrides["output_path"] = args.out
     if overrides:
         config = replace(config, **overrides)
-
-    for cell in config.infeasible_cells():
-        print(
-            f"warning: infeasible cell p_C={cell.control_rate:g} rr={cell.risk_ratio:g} "
-            f"c={cell.pilot_rr_multiplier:g} (success probability above 1); flagged, not run",
-            file=sys.stderr,
-        )
-    rows = run_grid(config)
-    if config.output_path is not None:
-        emit_results(rows, config.output_path, recruitment=config.recruitment)
-        print(f"wrote {config.output_path}")
-    else:
-        print_summary(rows)
-    if any(row.status != STATUS_OK for row in rows):
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return _run_and_report(config)
 
 
 def _cmd_conflict(args) -> int:
@@ -194,12 +179,24 @@ def _cmd_conflict(args) -> int:
         replicates=scenario.replicates,
         master_seed=scenario.master_seed,
         workers=args.workers,
+        output_path=args.out,
         recruitment=RecruitmentPlan(rates=(), months=()),
     )
+    return _run_and_report(config)
+
+
+def _run_and_report(config: RunConfig) -> int:
+    """Run a grid, write its CSV or print its summary, and exit 3 if a cell is flagged."""
+    for cell in config.infeasible_cells():
+        print(
+            f"warning: infeasible cell p_C={cell.control_rate:g} rr={cell.risk_ratio:g} "
+            f"c={cell.pilot_rr_multiplier:g} (success probability above 1); flagged, not run",
+            file=sys.stderr,
+        )
     rows = run_grid(config)
-    if args.out is not None:
-        emit_results(rows, args.out, recruitment=config.recruitment)
-        print(f"wrote {args.out}")
+    if config.output_path is not None:
+        emit_results(rows, config.output_path, recruitment=config.recruitment)
+        print(f"wrote {config.output_path}")
     else:
         print_summary(rows)
     if any(row.status != STATUS_OK for row in rows):

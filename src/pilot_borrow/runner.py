@@ -14,31 +14,28 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_RECRUITMENT, GridCell, RecruitmentPlan, RunConfig
 from .recruitment import RecruitmentModel, expected_duration, recruitment_probability
-from .simulate import DesignScenario, find_min_sample_size
-
-SEARCH_N_LO = 2
-SEARCH_N_HI = 20_000
+from .simulate import SEARCH_N_HI, SEARCH_N_LO, DesignScenario, find_min_sample_size
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNREACHABLE = "unreachable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRow:
-    """One grid cell's results; numeric fields are None when infeasible."""
+    """One grid cell's results; the search fields stay empty when infeasible."""
 
     control_rate: float
     risk_ratio: float
     pilot_rr_multiplier: float
     pilot_fraction: float
-    n_total: int | None
-    pilot_total: int | None
-    power: float | None
-    power_se: float | None
+    n_total: int | None = None
+    pilot_total: int | None = None
+    power: float | None = None
+    power_se: float | None = None
     replicates: int
-    durations: tuple[float, ...]
-    recruit_probs: tuple[float, ...]
+    durations: tuple[float, ...] = ()
+    recruit_probs: tuple[float, ...] = ()
     status: str
     seed: int
 
@@ -50,13 +47,7 @@ def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
             risk_ratio=cell.risk_ratio,
             pilot_rr_multiplier=cell.pilot_rr_multiplier,
             pilot_fraction=cell.pilot_fraction,
-            n_total=None,
-            pilot_total=None,
-            power=None,
-            power_se=None,
             replicates=config.replicates,
-            durations=(),
-            recruit_probs=(),
             status=STATUS_INFEASIBLE,
             seed=config.master_seed,
         )

@@ -26,6 +26,9 @@ from scipy.special import gammaln, ndtri
 from .decision import mixture_superiority_batch
 
 DEFAULT_MASTER_SEED = 20260808
+# The even definitive totals a sample-size search covers by default.
+SEARCH_N_LO = 2
+SEARCH_N_HI = 20_000
 _SEED_MASK = (1 << 64) - 1
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
 # Most replicates one chunk evaluates at once, which bounds its working
@@ -356,8 +359,8 @@ def _mix_seed(seed: int) -> int:
 def find_min_sample_size(
     scenario: DesignScenario,
     target_power: float = 0.80,
-    n_lo: int = 2,
-    n_hi: int = 20_000,
+    n_lo: int = SEARCH_N_LO,
+    n_hi: int = SEARCH_N_HI,
     workers: int = 1,
 ) -> SampleSizeResult:
     """Smallest even definitive total in [n_lo, n_hi] reaching the target power.
@@ -408,14 +411,10 @@ def _search(scenario, target_power, n_lo, n_hi, estimate) -> SampleSizeResult:
     if probe(start) >= target_power:
         hi_pass = start
         lo_fail = n_lo - 2  # virtual: nothing below n_lo is in range
-        cand = start
         for factor in _DOWN_FACTORS:
             if hi_pass <= n_lo:
                 break
-            cand = max(_even_clip(start * factor, n_lo, n_hi), n_lo)
-            cand = min(cand, hi_pass - 2)
-            if cand < n_lo:
-                break
+            cand = min(_even_clip(start * factor, n_lo, n_hi), hi_pass - 2)
             if probe(cand) >= target_power:
                 hi_pass = cand
             else:

@@ -266,9 +266,9 @@ class TestExactSum:
 
 
 def unique_rows_reference(rows):
-    """exceedance_pairs through np.unique(axis=0), with the rows it evaluates."""
+    """exceedance_pairs with duplicate rows collapsed by np.unique(axis=0)."""
     unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return _exceedance_unique(unique)[inverse.reshape(-1)], unique
+    return _exceedance_unique(unique)[inverse.reshape(-1)]
 
 
 def with_duplicates(rng, rows, duplicates):
@@ -278,27 +278,18 @@ def with_duplicates(rng, rows, duplicates):
 
 
 class TestRowDedup:
-    def check_against_reference(self, monkeypatch, rows):
-        evaluated = []
-
-        def spy(unique):
-            evaluated.append(unique)
-            return _exceedance_unique(unique)
-
-        monkeypatch.setattr(decision, "_exceedance_unique", spy)
+    def check_against_reference(self, rows):
         values = exceedance_pairs(*rows.T)
-        expected, unique = unique_rows_reference(rows)
-        assert np.array_equal(evaluated[0], unique)
-        assert values.tobytes() == expected.tobytes()
+        assert values.tobytes() == unique_rows_reference(rows).tobytes()
 
-    def test_matches_np_unique_on_count_rows(self, monkeypatch):
+    def test_matches_np_unique_on_count_rows(self):
         rng = np.random.default_rng(731)
         rows = with_duplicates(rng, random_count_rows(rng, 50_000, max_arm=300), 20_000)
         assert rows.shape == (70_000, 4)
-        self.check_against_reference(monkeypatch, rows)
+        self.check_against_reference(rows)
 
     @pytest.mark.parametrize("bits", [15, 21])
-    def test_shapes_above_any_packed_width(self, monkeypatch, bits):
+    def test_shapes_above_any_packed_width(self, bits):
         # Two shapes per row sit just above 2**bits, so a key packing each
         # shape into `bits` bits would alias rows; the other two stay small,
         # which keeps the sum short.
@@ -308,7 +299,7 @@ class TestRowDedup:
         small = rng.integers(1, 30, size=(size, 2)).astype(np.float64)
         rows = np.column_stack([large[:, 0], small[:, 0], small[:, 1], large[:, 1]])
         rows = with_duplicates(rng, rows, 2_000)
-        self.check_against_reference(monkeypatch, rows)
+        self.check_against_reference(rows)
 
     def test_empty_input(self):
         values = exceedance_pairs([], [], [], [])
