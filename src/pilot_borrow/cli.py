@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, GridCell, RecruitmentPlan, RunConfig, parse_config
+from .config import ConfigError, RecruitmentPlan, RunConfig, parse_config
 from .recruitment import (
     RecruitmentModel,
     expected_duration,
@@ -78,7 +78,10 @@ def _float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser, pilot_fraction_default: float):
+def _add_scenario_args(
+    parser: argparse.ArgumentParser, pilot_fraction_default: float, *, multiplier: bool, runs: bool
+):
+    """The design-cell flags, with ``--multiplier`` and the run flags only where they are read."""
     parser.add_argument("--p-c", type=float, required=True, help="control success probability")
     parser.add_argument("--rr", type=float, required=True, help="definitive risk ratio")
     parser.add_argument(
@@ -87,35 +90,37 @@ def _add_scenario_args(parser: argparse.ArgumentParser, pilot_fraction_default: 
         default=pilot_fraction_default,
         help="pilot size as a fraction of the definitive total",
     )
-    parser.add_argument(
-        "--multiplier",
-        type=float,
-        default=1.0,
-        help="pilot risk-ratio multiplier (1 = no conflict)",
-    )
+    if multiplier:
+        parser.add_argument(
+            "--multiplier",
+            type=float,
+            default=1.0,
+            help="pilot risk-ratio multiplier (1 = no conflict)",
+        )
     parser.add_argument("--phi", type=float, default=0.975, help="posterior decision threshold")
     parser.add_argument("--w", type=float, default=0.5, help="initial informative prior weight")
-    parser.add_argument("--replicates", type=int, default=10_000)
+    if runs:
+        parser.add_argument("--replicates", type=int, default=10_000)
+        parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None, help="master seed (wins over env)")
-    parser.add_argument("--workers", type=int, default=1)
 
 
 def _scenario_from_args(args) -> DesignScenario:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     return DesignScenario(
         control_rate=args.p_c,
         risk_ratio=args.rr,
-        pilot_rr_multiplier=args.multiplier,
         pilot_fraction=args.pilot_fraction,
-        threshold=args.phi,
+        pilot_rr_multiplier=getattr(args, "multiplier", 1.0),  # conflict sets it per cell
         prior_weight=args.w,
-        replicates=args.replicates,
+        threshold=args.phi,
+        replicates=getattr(args, "replicates", 1),  # replicate runs one, by index
         master_seed=_resolve_seed(args.seed, DEFAULT_MASTER_SEED),
     )
 
 
 def _cmd_power(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     scenario = _scenario_from_args(args)
     estimate = estimate_power(scenario, args.n_total, workers=args.workers)
     print(
@@ -134,46 +139,22 @@ def _cmd_grid(args) -> int:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
     config = parse_config(text)
-    overrides = {}
-    seed = _resolve_seed(args.seed, config.master_seed)
-    if seed != config.master_seed:
-        overrides["master_seed"] = seed
-    if args.replicates is not None:
-        if args.replicates < 1:
-            raise ConfigError("--replicates must be >= 1")
-        overrides["replicates"] = args.replicates
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
+    overrides = {
+        "master_seed": _resolve_seed(args.seed, config.master_seed),
+        "replicates": args.replicates,
+        "workers": args.workers,
+        "output_path": args.out,
+    }
+    # RunConfig checks every override
+    config = replace(config, **{key: val for key, val in overrides.items() if val is not None})
     return _run_and_report(config)
 
 
 def _cmd_conflict(args) -> int:
     scenario = _scenario_from_args(args)
     multipliers = _float_list(args.multipliers, "--multipliers")
-    for multiplier in multipliers:
-        if not multiplier > 0.0:
-            raise ConfigError(f"--multipliers entries must be positive, got {multiplier:g}")
-        if multiplier * scenario.risk_ratio * scenario.control_rate > 1.0:
-            raise ConfigError(
-                f"multiplier {multiplier:g} makes the pilot success probability exceed 1"
-            )
     config = RunConfig(
-        cells=tuple(
-            GridCell(
-                control_rate=scenario.control_rate,
-                risk_ratio=scenario.risk_ratio,
-                pilot_fraction=scenario.pilot_fraction,
-                pilot_rr_multiplier=multiplier,
-                prior_weight=scenario.prior_weight,
-            )
-            for multiplier in multipliers
-        ),
+        cells=tuple(replace(scenario, pilot_rr_multiplier=m) for m in multipliers),
         target_power=args.target_power,
         threshold=scenario.threshold,
         replicates=scenario.replicates,
@@ -266,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_power = sub.add_parser("power", help="estimate power for one design cell")
-    _add_scenario_args(p_power, pilot_fraction_default=0.0)
+    _add_scenario_args(p_power, 0.0, multiplier=True, runs=True)
     p_power.add_argument("--n-total", type=int, required=True, help="definitive total size")
     p_power.set_defaults(func=_cmd_power)
 
@@ -279,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=_cmd_grid)
 
     p_conflict = sub.add_parser("conflict", help="sweep pilot risk-ratio multipliers")
-    _add_scenario_args(p_conflict, pilot_fraction_default=0.2)
+    _add_scenario_args(p_conflict, 0.2, multiplier=False, runs=True)
     p_conflict.add_argument(
         "--multipliers",
         default="0.8,0.85,0.9,0.95,1.0",
@@ -304,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recruit.set_defaults(func=_cmd_recruit)
 
     p_replicate = sub.add_parser("replicate", help="debug one simulated replicate")
-    _add_scenario_args(p_replicate, pilot_fraction_default=0.0)
+    _add_scenario_args(p_replicate, 0.0, multiplier=True, runs=False)
     p_replicate.add_argument("--n-total", type=int, required=True)
     p_replicate.add_argument("--index", type=int, default=0, help="replicate index")
     p_replicate.set_defaults(func=_cmd_replicate)

@@ -37,29 +37,25 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .simulate import DEFAULT_MASTER_SEED
+from .simulate import DEFAULT_MASTER_SEED, GridCell
+
+# config key of each GridCell field
+_CELL_KEYS = {
+    "p_C": "control_rate",
+    "rr": "risk_ratio",
+    "pilot_fraction": "pilot_fraction",
+    "rr_pilot_multiplier": "pilot_rr_multiplier",
+    "w": "prior_weight",
+}
 
 
 class ConfigError(ValueError):
     """Invalid configuration document; message names the offending field."""
 
 
-@dataclass(frozen=True)
-class GridCell:
-    """One expanded scenario cell; infeasible cells are kept and flagged."""
-
-    control_rate: float
-    risk_ratio: float
-    pilot_fraction: float = 0.0
-    pilot_rr_multiplier: float = 1.0
-    prior_weight: float = 0.5
-
-    @property
-    def feasible(self) -> bool:
-        return (
-            self.risk_ratio * self.control_rate <= 1.0
-            and self.pilot_rr_multiplier * self.risk_ratio * self.control_rate <= 1.0
-        )
+def _require(condition: bool, message: str):
+    if not condition:
+        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,23 @@ class RecruitmentPlan:
     rates: tuple[float, ...] = (2.0, 5.0, 10.0)
     months: tuple[float, ...] = ()
     rate_interpretation: str = "total"
+
+    def __post_init__(self):
+        for key, values in (("lambda0", self.rates), ("months", self.months)):
+            _require(
+                all(0.0 < v < math.inf for v in values),
+                f"recruitment.{key} entries must be positive and finite",
+            )
+            # the CSV names a column by each value at 6 significant digits ({:g})
+            _require(
+                len({f"{v:g}" for v in values}) == len(values),
+                f"recruitment.{key} entries name CSV columns, so they must differ "
+                "at 6 significant digits",
+            )
+        _require(
+            self.rate_interpretation in ("total", "per_arm"),
+            'recruitment.rate_interpretation must be "total" or "per_arm"',
+        )
 
     def target_n(self, n_total: int) -> int:
         """Recruits the model must reach: whole trial, or one arm."""
@@ -92,7 +105,13 @@ class RunConfig:
     recruitment: RecruitmentPlan = field(default_factory=RecruitmentPlan)
 
     def __post_init__(self):
-        # here rather than in parse_config, so dataclasses.replace checks it too
+        # here rather than in parse_config, so dataclasses.replace and callers
+        # that build a RunConfig directly are checked too
+        _check_open_probability(self.target_power, "target_power")
+        _check_open_probability(self.threshold, "phi (threshold)")
+        _check_positive_int(self.replicates, "replicates")
+        if self.workers is not None:
+            _check_positive_int(self.workers, "workers")
         _require(
             isinstance(self.master_seed, int)
             and not isinstance(self.master_seed, bool)
@@ -112,13 +131,7 @@ class RunConfig:
         """Canonical document: explicit cell list, every default materialized."""
         doc = {
             "scenarios": [
-                {
-                    "p_C": cell.control_rate,
-                    "rr": cell.risk_ratio,
-                    "pilot_fraction": cell.pilot_fraction,
-                    "rr_pilot_multiplier": cell.pilot_rr_multiplier,
-                    "w": cell.prior_weight,
-                }
+                {key: getattr(cell, name) for key, name in _CELL_KEYS.items()}
                 for cell in self.cells
             ],
             "target_power": self.target_power,
@@ -137,11 +150,6 @@ class RunConfig:
         return json.dumps(doc, indent=2)
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigError(message)
-
-
 def _check_keys(obj: dict, allowed: set[str], where: str):
     unknown = set(obj) - allowed
     _require(not unknown, f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
@@ -157,38 +165,26 @@ def _as_number_list(value, name: str) -> list[float]:
     return [_as_number(v, name) for v in value]
 
 
-def _probability(value, name: str, open_left=False, open_right=False) -> float:
+def _check_open_probability(value, name: str):
     x = _as_number(value, name)
-    lo_ok = x > 0.0 if open_left else x >= 0.0
-    hi_ok = x < 1.0 if open_right else x <= 1.0
-    _require(lo_ok and hi_ok, f"{name} must lie in the unit interval, got {x}")
-    return x
+    _require(0.0 < x < 1.0, f"{name} must lie in (0, 1), got {x}")
 
 
-def _positive_int(value, name: str) -> int:
+def _check_positive_int(value, name: str):
     _require(isinstance(value, int) and not isinstance(value, bool) and value > 0, f"{name} must be a positive integer")
-    return value
 
 
 def _parse_cell(item: dict, where: str) -> GridCell:
+    """Type-check one cell object; GridCell checks the values."""
     _require(isinstance(item, dict), f"{where} must be an object")
-    _check_keys(item, {"p_C", "rr", "pilot_fraction", "rr_pilot_multiplier", "w"}, where)
+    _check_keys(item, set(_CELL_KEYS), where)
     _require("p_C" in item, f"{where} is missing p_C")
     _require("rr" in item, f"{where} is missing rr")
-    control = _probability(item["p_C"], f"{where}.p_C", open_left=True, open_right=True)
-    rr = _as_number(item["rr"], f"{where}.rr")
-    _require(rr > 0.0, f"{where}.rr must be positive")
-    fraction = _probability(item.get("pilot_fraction", 0.0), f"{where}.pilot_fraction", open_right=True)
-    multiplier = _as_number(item.get("rr_pilot_multiplier", 1.0), f"{where}.rr_pilot_multiplier")
-    _require(multiplier > 0.0, f"{where}.rr_pilot_multiplier must be positive")
-    weight = _probability(item.get("w", 0.5), f"{where}.w")
-    return GridCell(
-        control_rate=control,
-        risk_ratio=rr,
-        pilot_fraction=fraction,
-        pilot_rr_multiplier=multiplier,
-        prior_weight=weight,
-    )
+    values = {_CELL_KEYS[key]: _as_number(value, f"{where}.{key}") for key, value in item.items()}
+    try:
+        return GridCell(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _expand_shorthand(obj: dict) -> tuple[GridCell, ...]:
@@ -206,8 +202,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
     Malformed JSON reports the line and column; invalid values name the
-    field. Arithmetically infeasible scenario cells are accepted and
-    flagged, not rejected.
+    field. This function checks types and keys; GridCell, RecruitmentPlan
+    and RunConfig check the values. Arithmetically infeasible scenario
+    cells are accepted and flagged, not rejected.
     """
     try:
         doc = json.loads(text)
@@ -241,18 +238,8 @@ def parse_config(text: str) -> RunConfig:
     else:
         raise ConfigError("scenarios must be an object (shorthand) or a list of cells")
 
-    target_power = _probability(
-        doc.get("target_power", 0.80), "target_power", open_left=True, open_right=True
-    )
-    threshold = _probability(doc.get("phi", 0.975), "phi", open_left=True, open_right=True)
-    replicates = _positive_int(doc.get("replicates", 10_000), "replicates")
-
-    master_seed = doc.get("master_seed", DEFAULT_MASTER_SEED)
-    workers_raw = doc.get("workers", 1)
-    if workers_raw == "auto":
-        workers: int | None = None
-    else:
-        workers = _positive_int(workers_raw, "workers")
+    workers = doc.get("workers", 1)
+    _require(workers is not None, "workers must be a positive integer")  # null is not "auto"
 
     output_path = doc.get("output_path")
     if output_path is not None:
@@ -263,32 +250,23 @@ def parse_config(text: str) -> RunConfig:
         block = doc["recruitment"]
         _require(isinstance(block, dict), "recruitment must be an object")
         _check_keys(block, {"lambda0", "months", "rate_interpretation"}, "recruitment")
-        rates = tuple(
-            _as_number_list(block.get("lambda0", [2.0, 5.0, 10.0]), "recruitment.lambda0")
-        )
-        for rate in rates:
-            _require(0.0 < rate < math.inf, "recruitment.lambda0 entries must be positive and finite")
-        months_raw = block.get("months", [])
-        _require(isinstance(months_raw, list), "recruitment.months must be a list")
-        months = tuple(_as_number(v, "recruitment.months") for v in months_raw)
-        for m in months:
-            _require(0.0 < m < math.inf, "recruitment.months entries must be positive and finite")
-        interpretation = block.get("rate_interpretation", "total")
-        _require(
-            interpretation in ("total", "per_arm"),
-            'recruitment.rate_interpretation must be "total" or "per_arm"',
-        )
+        months = block.get("months", [])
+        _require(isinstance(months, list), "recruitment.months must be a list")
         recruitment = RecruitmentPlan(
-            rates=rates, months=months, rate_interpretation=interpretation
+            rates=tuple(
+                _as_number_list(block.get("lambda0", [2.0, 5.0, 10.0]), "recruitment.lambda0")
+            ),
+            months=tuple(_as_number(v, "recruitment.months") for v in months),
+            rate_interpretation=block.get("rate_interpretation", "total"),
         )
 
     return RunConfig(
         cells=cells,
-        target_power=target_power,
-        threshold=threshold,
-        replicates=replicates,
-        master_seed=master_seed,
-        workers=workers,
+        target_power=doc.get("target_power", 0.80),
+        threshold=doc.get("phi", 0.975),
+        replicates=doc.get("replicates", 10_000),
+        master_seed=doc.get("master_seed", DEFAULT_MASTER_SEED),
+        workers=None if workers == "auto" else workers,
         output_path=output_path,
         recruitment=recruitment,
     )

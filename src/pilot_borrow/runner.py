@@ -12,9 +12,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .config import DEFAULT_RECRUITMENT, GridCell, RecruitmentPlan, RunConfig
+from .config import DEFAULT_RECRUITMENT, RecruitmentPlan, RunConfig
 from .recruitment import RecruitmentModel, expected_duration, recruitment_probability
-from .simulate import SEARCH_N_HI, SEARCH_N_LO, DesignScenario, find_min_sample_size
+from .simulate import SEARCH_N_HI, SEARCH_N_LO, DesignScenario, GridCell, find_min_sample_size
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -55,8 +55,8 @@ def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
     scenario = DesignScenario(
         control_rate=cell.control_rate,
         risk_ratio=cell.risk_ratio,
-        pilot_rr_multiplier=cell.pilot_rr_multiplier,
         pilot_fraction=cell.pilot_fraction,
+        pilot_rr_multiplier=cell.pilot_rr_multiplier,
         prior_weight=cell.prior_weight,
         threshold=config.threshold,
         replicates=config.replicates,
@@ -71,7 +71,7 @@ def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
     )
     plan = config.recruitment
     target_n = plan.target_n(result.n_total)
-    durations = tuple(expected_duration(result.n_total, rate) for rate in plan.rates)
+    durations = tuple(expected_duration(target_n, rate) for rate in plan.rates)
     recruit_probs = tuple(
         recruitment_probability(RecruitmentModel(rate), target_n, m)
         for rate in plan.rates

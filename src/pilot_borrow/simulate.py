@@ -37,51 +37,37 @@ _REPLICATE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
-class DesignScenario:
-    """One cell of the simulation design.
+class GridCell:
+    """One cell of the simulation design: the arm rates and the pilot.
 
     The definitive treatment arm has success probability
     ``risk_ratio * control_rate``; the pilot treatment arm additionally
     carries ``pilot_rr_multiplier`` (1.0 means no prior-data conflict).
+    A cell whose success probability exceeds one is valid but not
+    ``feasible``: a grid keeps it and flags it. An error names the config
+    key, then the field.
     """
 
     control_rate: float
     risk_ratio: float
-    pilot_rr_multiplier: float = 1.0
     pilot_fraction: float = 0.0
-    threshold: float = 0.975
+    pilot_rr_multiplier: float = 1.0
     prior_weight: float = 0.5
-    replicates: int = 10_000
-    master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
         if not 0.0 < self.control_rate < 1.0:
-            raise ValueError(f"control_rate must lie in (0, 1), got {self.control_rate}")
+            raise ValueError(f"p_C (control_rate) must lie in (0, 1), got {self.control_rate}")
         if not self.risk_ratio > 0.0:
-            raise ValueError(f"risk_ratio must be positive, got {self.risk_ratio}")
-        if not self.pilot_rr_multiplier > 0.0:
-            raise ValueError(
-                f"pilot_rr_multiplier must be positive, got {self.pilot_rr_multiplier}"
-            )
-        if self.treatment_rate > 1.0:
-            raise ValueError(
-                f"infeasible scenario: risk_ratio * control_rate = {self.treatment_rate} > 1"
-            )
-        if self.pilot_treatment_rate > 1.0:
-            raise ValueError(
-                "infeasible scenario: pilot treatment probability "
-                f"{self.pilot_treatment_rate} > 1"
-            )
+            raise ValueError(f"rr (risk_ratio) must be positive, got {self.risk_ratio}")
         if not 0.0 <= self.pilot_fraction < 1.0:
             raise ValueError(f"pilot_fraction must lie in [0, 1), got {self.pilot_fraction}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if not self.pilot_rr_multiplier > 0.0:
+            raise ValueError(
+                "rr_pilot_multiplier (pilot_rr_multiplier) must be positive, "
+                f"got {self.pilot_rr_multiplier}"
+            )
         if not 0.0 <= self.prior_weight <= 1.0:
-            raise ValueError(f"prior_weight must lie in [0, 1], got {self.prior_weight}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.master_seed <= _SEED_MASK:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+            raise ValueError(f"w (prior_weight) must lie in [0, 1], got {self.prior_weight}")
 
     @property
     def treatment_rate(self) -> float:
@@ -90,6 +76,33 @@ class DesignScenario:
     @property
     def pilot_treatment_rate(self) -> float:
         return self.pilot_rr_multiplier * self.risk_ratio * self.control_rate
+
+    @property
+    def feasible(self) -> bool:
+        return self.treatment_rate <= 1.0 and self.pilot_treatment_rate <= 1.0
+
+
+@dataclass(frozen=True)
+class DesignScenario(GridCell):
+    """A feasible cell with the settings that simulate it."""
+
+    threshold: float = 0.975
+    replicates: int = 10_000
+    master_seed: int = DEFAULT_MASTER_SEED
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.feasible:
+            raise ValueError(
+                "infeasible scenario: success probability above 1 (treatment "
+                f"{self.treatment_rate:g}, pilot treatment {self.pilot_treatment_rate:g})"
+            )
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if not 0 <= self.master_seed <= _SEED_MASK:
+            raise ValueError("master_seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)

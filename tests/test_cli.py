@@ -71,9 +71,7 @@ REJECTED = [
     ),
     pytest.param([*_RECRUIT, "--months", "inf"], {}, 0, id="months-inf"),
     pytest.param(["duration", "--n", "100", "--rates", "inf"], {}, 0, id="duration-rate-inf"),
-    # checked by the command line alone
-    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
-    pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
+    # checked by RunConfig and by the cells of the conflict sweep
     pytest.param(["conflict", *_CELL, "--workers", "0"], {}, 0, id="workers-conflict"),
     pytest.param(["grid", "--config", "{config}", "--replicates", "0"], {}, 0, id="grid-replicates"),
     pytest.param(["grid", "--config", "{config}", "--workers", "0"], {}, 0, id="grid-workers"),
@@ -83,7 +81,14 @@ REJECTED = [
     pytest.param(
         ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers", "1.4"], {}, 0, id="multiplier-big"
     ),
+    # checked by the command line alone
+    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(_RECRUIT, {}, 0, id="recruit-needs-window"),
+    # flags a command does not read are not among its options
+    pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
+    pytest.param(
+        ["replicate", *_CELL, "--n-total", "40", "--replicates", "5"], {}, 0, id="replicate-replicates"
+    ),
     # usage errors of the argument parser
     pytest.param(["power", *_CELL, "--n-total", "abc"], {}, 0, id="usage-not-an-int"),
     pytest.param(["power", *_CELL], {}, 0, id="usage-missing-argument"),
@@ -216,6 +221,15 @@ class TestGridCommand:
         assert len(lines) == 3
         assert "infeasible" in lines[2]
 
+    @pytest.mark.parametrize("recruitment", [{"lambda0": [5, 5]}, {"months": [46, 46.0000001]}])
+    def test_colliding_csv_columns_are_validation_error(self, tmp_path, capfd, recruitment):
+        config = write_config(tmp_path, recruitment=recruitment)
+        code = main(["grid", "--config", str(config), "--out", str(tmp_path / "rows.csv")])
+        out, err = capfd.readouterr()
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: recruitment.") and len(err.splitlines()) == 1
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["grid", "--config", str(config), "--out", str(tmp_path / "no/dir.csv")])
@@ -233,6 +247,24 @@ class TestConflictCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
+
+    def test_multiplier_prefix_means_multipliers(self, capsys):
+        # conflict has no --multiplier flag; argparse reads the prefix as --multipliers
+        base = ["conflict", "--p-c", "0.3", "--rr", "2.2", "--replicates", "300", "--seed", "5"]
+        assert main([*base, "--multiplier", "0.9"]) == EXIT_OK
+        prefixed = capsys.readouterr().out
+        assert main([*base, "--multipliers", "0.9"]) == EXIT_OK
+        assert prefixed == capsys.readouterr().out
+        assert len(prefixed.splitlines()) == 2
+
+    def test_run_settings_rejected_before_any_cell_runs(self, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("pilot_borrow.cli.run_grid", no_run)
+        code = main(["conflict", *_CELL, "--target-power", "1.5", "--workers", "2"])
+        assert code == EXIT_VALIDATION
+        assert "target_power" in capsys.readouterr().err
 
     def test_infeasible_multiplier(self, capsys):
         code = main(

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from pilot_borrow.config import ConfigError, GridCell, RecruitmentPlan, parse_config
+from pilot_borrow.config import ConfigError, GridCell, RecruitmentPlan, RunConfig, parse_config
+from pilot_borrow.runner import run_grid
 
 
 MINIMAL = '{"scenarios": {"p_C": [0.25], "rr": [1.7], "pilot_fraction": [0, 0.2]}}'
@@ -157,6 +158,50 @@ class TestParseConfig:
         for seed in (-1, 1 << 64):
             with pytest.raises(ConfigError, match="master_seed"):
                 replace(config, master_seed=seed)
+
+    @pytest.mark.parametrize(
+        "item,message",
+        [
+            (
+                {"p_C": 1.5, "rr": 1.7},
+                r"scenarios\[0\]\.p_C \(control_rate\) must lie in \(0, 1\), got 1.5",
+            ),
+            (
+                {"p_C": 0.25, "rr": 1.7, "w": 2},
+                r"scenarios\[0\]\.w \(prior_weight\) must lie in \[0, 1\]",
+            ),
+        ],
+    )
+    def test_cell_error_names_key_then_field(self, item, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"scenarios": [item]}))
+
+    @pytest.mark.parametrize(
+        "settings,name",
+        [
+            ({"workers": 0}, "workers"),
+            ({"workers": -1}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"workers": 1.5}, "workers"),
+            ({"replicates": 0}, "replicates"),
+            ({"replicates": 200.0}, "replicates"),
+            ({"target_power": 1.5}, "target_power"),
+            ({"target_power": float("nan")}, "target_power"),
+            ({"threshold": 1.0}, "phi"),
+        ],
+    )
+    def test_run_settings_checked_where_a_run_config_is_built(self, settings, name):
+        cells = (GridCell(0.25, 1.9, 0.2),)
+        with pytest.raises(ConfigError, match=name):
+            run_grid(RunConfig(cells=cells, **{"replicates": 200, **settings}))
+        config = RunConfig(cells=cells, replicates=200)
+        with pytest.raises(ConfigError, match=name):
+            replace(config, **settings)
+
+    def test_workers_null_is_not_auto(self):
+        text = json.dumps({"scenarios": {"p_C": [0.25], "rr": [1.7]}, "workers": None})
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config(text)
 
     def test_round_trip_through_canonical_json(self):
         text = json.dumps(

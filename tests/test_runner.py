@@ -1,8 +1,10 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
-from pilot_borrow.config import parse_config
+from pilot_borrow.config import ConfigError, RecruitmentPlan, parse_config
 from pilot_borrow.runner import (
     STATUS_INFEASIBLE,
     STATUS_OK,
@@ -96,6 +98,16 @@ class TestRunGrid:
         parallel = run_grid(replace(config, workers=2))
         assert serial == parallel
 
+    def test_per_arm_durations_use_one_arm(self):
+        plan = {"lambda0": [5], "months": [24], "rate_interpretation": "per_arm"}
+        config = parse_config(fast_config(replicates=300, recruitment=plan))
+        total = run_grid(replace(config, recruitment=RecruitmentPlan(rates=(5.0,), months=(24.0,))))
+        for row, total_row in zip(run_grid(config), total):
+            assert row.n_total == total_row.n_total
+            assert row.durations == (math.ceil(row.n_total / 2) / 5,)
+            assert total_row.durations == (row.n_total / 5,)
+            assert row.recruit_probs[0] > total_row.recruit_probs[0]
+
     def test_fewer_replicates_same_shape_larger_se(self):
         small = run_grid(parse_config(fast_config(replicates=250)))
         large = run_grid(parse_config(fast_config(replicates=4000)))
@@ -128,6 +140,17 @@ class TestEmitResults:
             "status",
             "seed",
         ]
+
+    @pytest.mark.parametrize(
+        "key,values", [("lambda0", [5, 5]), ("lambda0", [5, 5.0000001]), ("months", [46, 46])]
+    )
+    def test_colliding_column_names_rejected(self, key, values):
+        plan = {"lambda0": [5], "months": [46], key: values}
+        with pytest.raises(ConfigError, match=f"recruitment.{key}"):
+            parse_config(fast_config(recruitment=plan))
+        field = {"lambda0": "rates", "months": "months"}[key]
+        with pytest.raises(ConfigError, match=f"recruitment.{key}"):
+            RecruitmentPlan(**{field: tuple(values)})
 
     def test_empty_rows_write_header_only(self, fast_rows, tmp_path, capsys):
         config, _ = fast_rows

@@ -9,6 +9,7 @@ from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
     _REPLICATE_CHUNK,
     DesignScenario,
+    GridCell,
     _chunk_bounds,
     estimate_power,
     find_min_sample_size,
@@ -102,6 +103,19 @@ class TestDesignScenario:
     def test_nan_is_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             DesignScenario(**{"control_rate": 0.25, "risk_ratio": 1.7, field: float("nan")})
+
+    def test_error_names_config_key_then_field(self):
+        message = r"^p_C \(control_rate\) must lie in \(0, 1\), got 1.5$"
+        with pytest.raises(ValueError, match=message):
+            DesignScenario(control_rate=1.5, risk_ratio=1.7)
+
+    def test_is_a_grid_cell_with_its_positional_order(self):
+        scenario = DesignScenario(0.25, 1.7, 0.2, 0.9, 0.3, 0.95, 100, 7)
+        assert isinstance(scenario, GridCell)
+        assert scenario == DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, pilot_rr_multiplier=0.9,
+            prior_weight=0.3, threshold=0.95, replicates=100, master_seed=7,
+        )
 
     def test_derived_rates(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_rr_multiplier=0.8)
