@@ -29,7 +29,14 @@ from .recruitment import (
     round_months,
 )
 from .runner import STATUS_OK, emit_results, print_summary, run_grid
-from .simulate import DEFAULT_MASTER_SEED, DesignScenario, estimate_power, trace_replicate
+from .simulate import (
+    DEFAULT_MASTER_SEED,
+    DesignScenario,
+    check_positive_int,
+    check_seed,
+    estimate_power,
+    trace_replicate,
+)
 
 SEED_ENV_VAR = "PILOT_BORROW_SEED"
 
@@ -54,8 +61,7 @@ def _env_seed() -> int | None:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"{SEED_ENV_VAR} must be an unsigned 64-bit integer")
+    check_seed(seed, SEED_ENV_VAR)
     return seed
 
 
@@ -119,8 +125,7 @@ def _scenario_from_args(args) -> DesignScenario:
 
 
 def _cmd_power(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    check_positive_int(args.workers, "--workers")
     scenario = _scenario_from_args(args)
     estimate = estimate_power(scenario, args.n_total, workers=args.workers)
     print(

@@ -37,7 +37,13 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .simulate import DEFAULT_MASTER_SEED, GridCell
+from .simulate import (
+    DEFAULT_MASTER_SEED,
+    GridCell,
+    check_open_probability,
+    check_positive_int,
+    check_seed,
+)
 
 # config key of each GridCell field
 _CELL_KEYS = {
@@ -106,18 +112,17 @@ class RunConfig:
 
     def __post_init__(self):
         # here rather than in parse_config, so dataclasses.replace and callers
-        # that build a RunConfig directly are checked too
-        _check_open_probability(self.target_power, "target_power")
-        _check_open_probability(self.threshold, "phi (threshold)")
-        _check_positive_int(self.replicates, "replicates")
-        if self.workers is not None:
-            _check_positive_int(self.workers, "workers")
-        _require(
-            isinstance(self.master_seed, int)
-            and not isinstance(self.master_seed, bool)
-            and 0 <= self.master_seed < (1 << 64),
-            "master_seed must be an unsigned 64-bit integer",
-        )
+        # that build a RunConfig directly are checked too; DesignScenario runs
+        # the same checks on the settings it shares
+        try:
+            check_open_probability(self.target_power, "target_power")
+            check_open_probability(self.threshold, "phi (threshold)")
+            check_positive_int(self.replicates, "replicates")
+            if self.workers is not None:
+                check_positive_int(self.workers, "workers")
+            check_seed(self.master_seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def resolved_workers(self) -> int:
         if self.workers is None:
@@ -163,15 +168,6 @@ def _as_number(value, name: str) -> float:
 def _as_number_list(value, name: str) -> list[float]:
     _require(isinstance(value, list) and value, f"{name} must be a non-empty list of numbers")
     return [_as_number(v, name) for v in value]
-
-
-def _check_open_probability(value, name: str):
-    x = _as_number(value, name)
-    _require(0.0 < x < 1.0, f"{name} must lie in (0, 1), got {x}")
-
-
-def _check_positive_int(value, name: str):
-    _require(isinstance(value, int) and not isinstance(value, bool) and value > 0, f"{name} must be a positive integer")
 
 
 def _parse_cell(item: dict, where: str) -> GridCell:

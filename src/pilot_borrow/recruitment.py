@@ -10,8 +10,6 @@ within m months".
 import math
 from dataclasses import dataclass
 
-from scipy.special import betainc
-
 
 @dataclass(frozen=True)
 class RecruitmentModel:
@@ -50,12 +48,98 @@ def round_months(months: float) -> int:
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_inc_beta requires positive shapes, got ({a}, {b})")
+    """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x.
+
+    The continued fraction of I_x(a, b) converges quickly below
+    x = (a + 1) / (a + b + 2); above it the value is 1 - I_{1-x}(b, a). A
+    small value is therefore computed with relative accuracy, which keeps
+    the far tail of :func:`recruitment_probability` meaningful.
+    """
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"reg_inc_beta requires positive finite shapes, got ({a}, {b})")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    return float(betainc(a, b, x))
+    if x == 0.0 or x == 1.0:
+        return x
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _inc_beta_lower(1.0 - x, b, a)
+    return _inc_beta_lower(x, a, b)
+
+
+_CF_EPS = 4e-16
+_CF_TINY = 1e-300
+
+
+def _inc_beta_lower(x: float, a: float, b: float) -> float:
+    """I_x(a, b) for x at most (a + 1) / (a + b + 2).
+
+    x^a (1 - x)^b / (a B(a, b)) times the continued fraction
+    1 / (1 + d_1 / (1 + d_2 / (1 + ...))), evaluated by the modified Lentz
+    method until a step changes it by less than ``_CF_EPS`` relative. Its
+    terms need O(sqrt(max(a, b))) steps at most.
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    fraction = d
+    for m in range(1, 1000 + 10 * int(math.sqrt(max(a, b)))):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = c * d
+            fraction *= step
+        if abs(step - 1.0) < _CF_EPS:
+            break
+    else:
+        raise ArithmeticError(f"I_x(a, b) did not converge at x={x}, a={a}, b={b}")
+    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
+    return math.exp(log_front + math.log(fraction / a))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b), with the difference ln Γ(big + small) - ln Γ(big) taken
+    from Stirling's series when the larger shape is big, so that two large
+    log-gammas do not cancel."""
+    small, big = sorted((a, b))
+    if big < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    total = big + small
+    rise = (
+        (big - 0.5) * math.log1p(small / big)
+        + small * math.log(total)
+        - small
+        + _stirling_tail(total)
+        - _stirling_tail(big)
+    )
+    return math.lgamma(small) - rise
+
+
+# Stirling's series: ln Γ(z) = (z - 1/2) ln z - z + ln(2 pi) / 2 + tail(z), with
+# tail(z) = sum_k B_2k / (2k (2k - 1) z^(2k - 1)). Seven terms reach double
+# precision for z >= _STIRLING_FROM.
+_STIRLING_FROM = 10.0
+_STIRLING_COEFFS = (
+    1.0 / 12.0,
+    -1.0 / 360.0,
+    1.0 / 1260.0,
+    -1.0 / 1680.0,
+    1.0 / 1188.0,
+    -691.0 / 360360.0,
+    1.0 / 156.0,
+)
+
+
+def _stirling_tail(z: float) -> float:
+    inv_square = 1.0 / (z * z)
+    total = 0.0
+    for coeff in reversed(_STIRLING_COEFFS):
+        total = total * inv_square + coeff
+    return total / z
 
 
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:

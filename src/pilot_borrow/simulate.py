@@ -18,10 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .decision import mixture_superiority_batch
 
@@ -82,6 +82,24 @@ class GridCell:
         return self.treatment_rate <= 1.0 and self.pilot_treatment_rate <= 1.0
 
 
+def check_open_probability(value, name: str):
+    """A run setting that must be a real number strictly between 0 and 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
+def check_positive_int(value, name: str):
+    """A run setting that must be an integer of at least 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def check_seed(value, name: str = "master_seed"):
+    """A master seed: an integer (not a bool) in [0, 2**64)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _SEED_MASK:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+
+
 @dataclass(frozen=True)
 class DesignScenario(GridCell):
     """A feasible cell with the settings that simulate it."""
@@ -97,12 +115,9 @@ class DesignScenario(GridCell):
                 "infeasible scenario: success probability above 1 (treatment "
                 f"{self.treatment_rate:g}, pilot treatment {self.pilot_treatment_rate:g})"
             )
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0 <= self.master_seed <= _SEED_MASK:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        check_open_probability(self.threshold, "threshold")
+        check_positive_int(self.replicates, "replicates")
+        check_seed(self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -239,14 +254,46 @@ def log_beta_binomial_pmf(y, n, a, b):
     when the success probability carries a Beta(a, b) prior; the binomial
     coefficient is included so the value is a true log probability.
     """
-    y = np.asarray(y, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    log_choose = gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
-    log_beta_post = gammaln(a + y) + gammaln(b + n - y) - gammaln(a + b + n)
-    log_beta_prior = gammaln(a) + gammaln(b) - gammaln(a + b)
+    y, n, a, b = (np.asarray(v, dtype=np.float64) for v in (y, n, a, b))
+    return _log_beta_binomial_pmf(_lgamma, y, n, a, b)
+
+
+def _log_beta_binomial_pmf(lgamma, y, n, a, b):
+    """:func:`log_beta_binomial_pmf` with ln Γ from ``lgamma``, which maps a
+    number or an array of them to ln Γ elementwise."""
+    log_choose = lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1)
+    log_beta_post = lgamma(a + y) + lgamma(b + n - y) - lgamma(a + b + n)
+    log_beta_prior = lgamma(a) + lgamma(b) - lgamma(a + b)
     return log_choose + log_beta_post - log_beta_prior
+
+
+# ln Γ(k) at k = 0, 1, ..., len - 1 (entry 0 is the pole), from math.lgamma.
+# It lives for the process and grows only to the largest argument asked for;
+# an entry never changes once written, so every caller reads the same values.
+# Arguments past _LGAMMA_TABLE_CAP (8 MB of table) call math.lgamma instead.
+_lgamma_values = np.array([math.inf])
+_LGAMMA_TABLE_CAP = 1 << 20
+_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _lgamma_table(top: int) -> np.ndarray:
+    """The table of ln Γ at the integers, grown to hold ``top`` if it does not."""
+    global _lgamma_values
+    size = len(_lgamma_values)
+    if top >= size:
+        grown = np.empty(top + 1)
+        grown[:size] = _lgamma_values
+        grown[size:] = [math.lgamma(k) for k in range(size, top + 1)]
+        _lgamma_values = grown
+    return _lgamma_values
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """ln Γ elementwise: a table read when every argument is an integer in
+    [1, _LGAMMA_TABLE_CAP], otherwise math.lgamma per element."""
+    if np.all((x >= 1.0) & (x <= _LGAMMA_TABLE_CAP) & (x == np.floor(x))):
+        return _lgamma_table(int(np.max(x, initial=0))).take(np.asarray(x, dtype=np.intp))
+    return _lgamma_each(x)
 
 
 def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
@@ -264,17 +311,23 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     Every shape is one plus a count, as the exact superiority sum requires.
     Each output has shape (m, 2), vague component first.
     """
+    # Every log-gamma argument is an integer of at most 2 + n_pilot + n_def,
+    # so the table is sized once here and read without checks.
+    top = 2 + n_pilot + n_def
+    lgamma = _lgamma_table(top).__getitem__ if top <= _LGAMMA_TABLE_CAP else _lgamma_each
+    k_pilot = y_pilot.astype(np.intp, copy=False)
+    k_def = y_def.astype(np.intp, copy=False)
+    log_w_vague = math.log1p(-weight) if weight < 1.0 else -math.inf
+    log_w_informative = math.log(weight) if weight > 0.0 else -math.inf
+    log_post_vague = log_w_vague + _log_beta_binomial_pmf(lgamma, k_def, n_def, 1, 1)
+    log_post_informative = log_w_informative + _log_beta_binomial_pmf(
+        lgamma, k_def, n_def, 1 + k_pilot, 1 + n_pilot - k_pilot
+    )
     y_pilot = y_pilot.astype(np.float64)
     y_def = y_def.astype(np.float64)
     a_informative = 1.0 + y_pilot
     b_informative = 1.0 + n_pilot - y_pilot
 
-    log_w_vague = math.log1p(-weight) if weight < 1.0 else -math.inf
-    log_w_informative = math.log(weight) if weight > 0.0 else -math.inf
-    log_post_vague = log_w_vague + log_beta_binomial_pmf(y_def, n_def, 1.0, 1.0)
-    log_post_informative = log_w_informative + log_beta_binomial_pmf(
-        y_def, n_def, a_informative, b_informative
-    )
     peak = np.maximum(log_post_vague, log_post_informative)
     raw_vague = np.exp(log_post_vague - peak)
     raw_informative = np.exp(log_post_informative - peak)
@@ -344,8 +397,8 @@ def _initial_probe(scenario: DesignScenario, target_power: float, n_lo: int, n_h
     p2 = scenario.treatment_rate
     if p2 <= p1:
         return n_lo
-    z_threshold = ndtri(scenario.threshold)
-    z_power = ndtri(target_power)
+    z_threshold = NormalDist().inv_cdf(scenario.threshold)
+    z_power = NormalDist().inv_cdf(target_power)
     pooled = (p1 + p2) / 2.0
     per_arm = (
         z_threshold * math.sqrt(2.0 * pooled * (1.0 - pooled))
@@ -378,14 +431,14 @@ def find_min_sample_size(
 ) -> SampleSizeResult:
     """Smallest even definitive total in [n_lo, n_hi] reaching the target power.
 
-    Every probe reuses the scenario's master seed (common random numbers),
-    which keeps the power curve monotone enough for bisection; a geometric
-    expansion around a normal-approximation guess brackets the crossing
-    first. The power reported for the returned n comes from an independent
-    verification seed. When even n_hi falls short the result carries
-    ``achieved=False`` instead of silently truncating. With several workers
-    and more than one chunk per probe, one process pool serves every probe
-    of the search.
+    A geometric expansion around a normal-approximation guess brackets the
+    crossing, then bisection narrows it. Every probe uses the scenario's
+    master seed, but the stream key contains the probed total, so probes at
+    different totals draw independent replicates. The power reported for
+    the returned n comes from an independent verification seed. When even
+    n_hi falls short the result carries ``achieved=False`` instead of
+    silently truncating. With several workers and more than one chunk per
+    probe, one process pool serves every probe of the search.
     """
     if not 0.0 < target_power < 1.0:
         raise ValueError(f"target_power must lie in (0, 1), got {target_power}")

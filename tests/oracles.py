@@ -7,11 +7,12 @@ from pairwise sampling, 2-d quadrature, a closed-form sum for integer
 shapes, a 50-digit ``decimal`` beta-binomial sum or a windowed
 Gauss-Legendre rule over scipy's incomplete beta, design power from exact
 enumeration or an independent sampler, and Negative-Binomial tails from
-direct pmf summation or Gamma-Poisson sampling.
+direct pmf summation, Gamma-Poisson sampling or exact rational arithmetic.
 """
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -155,6 +156,33 @@ def negbin_cdf_by_summation(k_max: int, r: float, p: float) -> float:
     log_terms = negbin_log_pmf(np.arange(k_max + 1), r, p)
     peak = float(np.max(log_terms))
     return float(math.exp(peak) * np.sum(np.exp(log_terms - peak)))
+
+
+def reg_inc_beta_exact(x: Fraction, a: int, b: int) -> Fraction:
+    """I_x(a, b) for integer shapes and a rational x, exactly.
+
+    For integer shapes I_x(a, b) = P(Binomial(a + b - 1, x) >= a), a sum of
+    b terms, here in integers over the common denominator of x^(a + b - 1).
+    """
+    p, q = x.numerator, x.denominator
+    trials = a + b - 1
+    numerator = sum(
+        math.comb(trials, k) * p**k * (q - p) ** (trials - k) for k in range(a, trials + 1)
+    )
+    return Fraction(numerator, q**trials)
+
+
+def recruitment_probability_exact(n: int, lambda0: float, m: int) -> Fraction:
+    """Exact P(at least n recruits within m months) under the Gamma-Poisson model.
+
+    The count is NegBin(r, p) with r = 2 lambda0 and p = 2 / (2 + m), so
+    P(N >= n) = I_x(n, r) with x = m / (2 + m). Needs an integer 2 lambda0
+    and an integer m.
+    """
+    r = 2 * lambda0
+    if r != int(r) or m != int(m):
+        raise ValueError(f"needs integer 2 * lambda0 and m, got {lambda0}, {m}")
+    return reg_inc_beta_exact(Fraction(int(m), 2 + int(m)), n, int(r))
 
 
 def gamma_poisson_survival_mc(

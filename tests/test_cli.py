@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +414,14 @@ decision: not superior
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out == expected
+
+
+def test_import_path_is_free_of_scipy():
+    # numpy and the standard library are the package's only run-time dependencies
+    script = "import sys, pilot_borrow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

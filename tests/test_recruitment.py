@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,12 @@ from pilot_borrow.recruitment import (
     round_months,
 )
 
-from oracles import gamma_poisson_survival_mc, negbin_cdf_by_summation
+from oracles import (
+    gamma_poisson_survival_mc,
+    negbin_cdf_by_summation,
+    recruitment_probability_exact,
+    reg_inc_beta_exact,
+)
 
 
 class TestRecruitmentModel:
@@ -126,6 +134,38 @@ class TestRecruitmentProbability:
         pmf = np.exp(negbin_log_pmf(ks, r, p))
         mean = float(np.sum(ks * pmf))
         assert mean == pytest.approx(5.0 * m, rel=1e-3)
+
+
+class TestAgainstExactOracle:
+    """recruitment_probability against exact rational arithmetic, to 1e-10
+    relative wherever the exact value is a normal double."""
+
+    @pytest.mark.parametrize("m", [12, 46])
+    @pytest.mark.parametrize("lambda0", [2, 5, 10])
+    def test_relative_error_up_to_the_search_ceiling(self, lambda0, m):
+        model = RecruitmentModel(float(lambda0))
+        for n in (1, 2, 50, 230, 1000, 2000, 4670, 6208, 10000, 20000):
+            exact = float(recruitment_probability_exact(n, lambda0, m))
+            value = recruitment_probability(model, n, float(m))
+            if exact >= sys.float_info.min:
+                assert abs(value - exact) <= 1e-10 * exact, (n, value, exact)
+            else:
+                assert abs(value - exact) < sys.float_info.min, (n, value, exact)
+
+    def test_far_tail_is_not_zero(self):
+        value = recruitment_probability(RecruitmentModel(10.0), 4670, 12.0)
+        exact = float(recruitment_probability_exact(4670, 10, 12))
+        assert exact == 9.160456541426396e-277
+        # the same tail at the double the package computes x = 1 - 2 / 14 as
+        at_double_x = float(reg_inc_beta_exact(Fraction(1.0 - 2.0 / 14.0), 4670, 20))
+        assert at_double_x == 9.160456541429485e-277
+        for reference in (exact, at_double_x):
+            assert abs(value - reference) <= 1e-10 * reference
+
+    def test_oracle_matches_pmf_summation(self):
+        r, p = negbin_params(RecruitmentModel(5.0), 46.0)
+        exact = float(recruitment_probability_exact(230, 5, 46))
+        assert exact + negbin_cdf_by_summation(229, r, p) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMonthsForProbability:

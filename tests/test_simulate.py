@@ -99,6 +99,14 @@ class TestDesignScenario:
         with pytest.raises(ValueError):
             DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=0)
 
+    @pytest.mark.parametrize(
+        "setting", [{"master_seed": 7.5}, {"replicates": True}, {"replicates": 300.5}]
+    )
+    def test_run_settings_are_checked_by_type(self, setting):
+        (name,) = setting
+        with pytest.raises(ValueError, match=name):
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, **setting)
+
     @pytest.mark.parametrize("field", ["risk_ratio", "pilot_rr_multiplier"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(ValueError, match=field):

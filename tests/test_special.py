@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from pilot_borrow import simulate
 from pilot_borrow.recruitment import reg_inc_beta
 from pilot_borrow.simulate import (
     DesignScenario,
+    _posterior_components,
     log_beta_binomial_pmf,
     replicate_stream,
     simulate_batch,
@@ -88,6 +90,48 @@ class TestLogBetaBinomialPmf:
     def test_pmf_sums_to_one(self, a, b, n):
         total = float(np.sum(np.exp(log_beta_binomial_pmf(np.arange(n + 1), n, a, b))))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestLogGammaTable:
+    """ln Γ at the integers, read from a per-process table that math.lgamma fills."""
+
+    def test_every_integer_to_40002(self):
+        top = 40_002
+        expected = [math.lgamma(k) for k in range(1, top + 1)]
+        assert simulate._lgamma_table(top)[1 : top + 1].tolist() == expected
+        arguments = np.arange(1.0, top + 1.0)
+        assert simulate._lgamma(arguments).tolist() == expected
+
+    def test_values_stay_put_when_the_table_grows(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
+        y_pilot, y_def = np.array([0, 3, 7, 12]), np.array([5, 20, 31, 40])
+        small = _posterior_components(0.5, y_pilot, 12, y_def, 40)
+        small_pmf = log_beta_binomial_pmf(np.arange(11), 10, 3.0, 4.0)
+        # the model sizes the table from 2 + pilot arm + definitive arm
+        assert len(simulate._lgamma_values) == 2 + 12 + 40 + 1
+        _posterior_components(0.5, y_pilot * 100, 1200, y_def * 250, 10_000)
+        assert len(simulate._lgamma_values) == 2 + 1200 + 10_000 + 1
+        for before, after in zip(small, _posterior_components(0.5, y_pilot, 12, y_def, 40)):
+            assert np.array_equal(before, after)
+        assert np.array_equal(log_beta_binomial_pmf(np.arange(11), 10, 3.0, 4.0), small_pmf)
+
+    def test_past_the_cap_math_lgamma_gives_the_same_values(self, monkeypatch):
+        args = (0.5, np.array([3, 9]), 12, np.array([20, 31]), 40)
+        tabled = _posterior_components(*args)
+        monkeypatch.setattr(simulate, "_LGAMMA_TABLE_CAP", 10)
+        monkeypatch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
+        untabled = _posterior_components(*args)
+        assert len(simulate._lgamma_values) == 1
+        for a, b in zip(tabled, untabled):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.5, 7.0), (7.0, 2.5), (40.0, 2.5)])
+    def test_non_integer_shapes_match_scipy(self, a, b):
+        from scipy import stats
+
+        y = np.arange(51)
+        expected = stats.betabinom.logpmf(y, 50, a, b)
+        assert log_beta_binomial_pmf(y, 50, a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestSampleBinomial:
