@@ -97,49 +97,9 @@ def _inc_beta_lower(x: float, a: float, b: float) -> float:
             break
     else:
         raise ArithmeticError(f"I_x(a, b) did not converge at x={x}, a={a}, b={b}")
-    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_front = a * math.log(x) + b * math.log1p(-x) - log_beta
     return math.exp(log_front + math.log(fraction / a))
-
-
-def _log_beta(a: float, b: float) -> float:
-    """ln B(a, b), with the difference ln Γ(big + small) - ln Γ(big) taken
-    from Stirling's series when the larger shape is big, so that two large
-    log-gammas do not cancel."""
-    small, big = sorted((a, b))
-    if big < _STIRLING_FROM:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    total = big + small
-    rise = (
-        (big - 0.5) * math.log1p(small / big)
-        + small * math.log(total)
-        - small
-        + _stirling_tail(total)
-        - _stirling_tail(big)
-    )
-    return math.lgamma(small) - rise
-
-
-# Stirling's series: ln Γ(z) = (z - 1/2) ln z - z + ln(2 pi) / 2 + tail(z), with
-# tail(z) = sum_k B_2k / (2k (2k - 1) z^(2k - 1)). Seven terms reach double
-# precision for z >= _STIRLING_FROM.
-_STIRLING_FROM = 10.0
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-
-def _stirling_tail(z: float) -> float:
-    inv_square = 1.0 / (z * z)
-    total = 0.0
-    for coeff in reversed(_STIRLING_COEFFS):
-        total = total * inv_square + coeff
-    return total / z
 
 
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:

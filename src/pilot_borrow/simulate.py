@@ -252,10 +252,12 @@ def log_beta_binomial_pmf(y, n, a, b):
 
     This is the log marginal likelihood of y successes in n Bernoulli trials
     when the success probability carries a Beta(a, b) prior; the binomial
-    coefficient is included so the value is a true log probability.
+    coefficient is included so the value is a true log probability. ln Γ
+    is +inf at its poles 0, -1, -2, ..., so a y outside 0..n is not an
+    error: it gives -inf, or nan where a pole of the beta terms meets it.
     """
     y, n, a, b = (np.asarray(v, dtype=np.float64) for v in (y, n, a, b))
-    return _log_beta_binomial_pmf(_lgamma, y, n, a, b)
+    return _log_beta_binomial_pmf(_lgamma_each, y, n, a, b)
 
 
 def _log_beta_binomial_pmf(lgamma, y, n, a, b):
@@ -273,7 +275,14 @@ def _log_beta_binomial_pmf(lgamma, y, n, a, b):
 # Arguments past _LGAMMA_TABLE_CAP (8 MB of table) call math.lgamma instead.
 _lgamma_values = np.array([math.inf])
 _LGAMMA_TABLE_CAP = 1 << 20
-_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
+def _lgamma_or_pole(x: float) -> float:
+    """math.lgamma, but +inf at the poles 0, -1, -2, ... where it raises."""
+    return math.inf if x <= 0.0 and float(x).is_integer() else math.lgamma(x)
+
+
+_lgamma_each = np.vectorize(_lgamma_or_pole, otypes=[np.float64])
 
 
 def _lgamma_table(top: int) -> np.ndarray:
@@ -286,14 +295,6 @@ def _lgamma_table(top: int) -> np.ndarray:
         grown[size:] = [math.lgamma(k) for k in range(size, top + 1)]
         _lgamma_values = grown
     return _lgamma_values
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    """ln Γ elementwise: a table read when every argument is an integer in
-    [1, _LGAMMA_TABLE_CAP], otherwise math.lgamma per element."""
-    if np.all((x >= 1.0) & (x <= _LGAMMA_TABLE_CAP) & (x == np.floor(x))):
-        return _lgamma_table(int(np.max(x, initial=0))).take(np.asarray(x, dtype=np.intp))
-    return _lgamma_each(x)
 
 
 def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
