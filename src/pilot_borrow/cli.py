@@ -32,7 +32,6 @@ from .runner import STATUS_OK, emit_results, print_summary, run_grid
 from .simulate import (
     DEFAULT_MASTER_SEED,
     DesignScenario,
-    check_positive_int,
     check_seed,
     estimate_power,
     trace_replicate,
@@ -125,7 +124,6 @@ def _scenario_from_args(args) -> DesignScenario:
 
 
 def _cmd_power(args) -> int:
-    check_positive_int(args.workers, "--workers")
     scenario = _scenario_from_args(args)
     estimate = estimate_power(scenario, args.n_total, workers=args.workers)
     print(

@@ -132,28 +132,6 @@ class RunConfig:
     def infeasible_cells(self) -> tuple[GridCell, ...]:
         return tuple(cell for cell in self.cells if not cell.feasible)
 
-    def to_json(self) -> str:
-        """Canonical document: explicit cell list, every default materialized."""
-        doc = {
-            "scenarios": [
-                {key: getattr(cell, name) for key, name in _CELL_KEYS.items()}
-                for cell in self.cells
-            ],
-            "target_power": self.target_power,
-            "phi": self.threshold,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "workers": "auto" if self.workers is None else self.workers,
-            "recruitment": {
-                "lambda0": list(self.recruitment.rates),
-                "months": list(self.recruitment.months),
-                "rate_interpretation": self.recruitment.rate_interpretation,
-            },
-        }
-        if self.output_path is not None:
-            doc["output_path"] = self.output_path
-        return json.dumps(doc, indent=2)
-
 
 def _check_keys(obj: dict, allowed: set[str], where: str):
     unknown = set(obj) - allowed

@@ -106,7 +106,7 @@ def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:
     """(r, p) of the Negative Binomial count of recruits in m months."""
     if not 0.0 < m < math.inf:
         raise ValueError(f"months must be positive and finite, got {m}")
-    return model.gamma_shape, 2.0 / (2.0 + m)
+    return model.gamma_shape, model.gamma_rate / (model.gamma_rate + m)
 
 
 def recruitment_probability(model: RecruitmentModel, n: int, m: float) -> float:

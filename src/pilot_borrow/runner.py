@@ -8,7 +8,6 @@ byte-identical CSV files.
 """
 
 import csv
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -169,7 +168,6 @@ def emit_results(
     rows: list[ResultRow],
     path: str,
     recruitment: RecruitmentPlan = DEFAULT_RECRUITMENT,
-    stream=None,
 ) -> None:
     """Write rows as CSV (LF endings) and print a summary table.
 
@@ -185,16 +183,14 @@ def emit_results(
                 writer.writerow(_row_values(row, recruitment))
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-    print_summary(rows, stream=stream)
+    print_summary(rows)
 
 
-def print_summary(rows: list[ResultRow], stream=None) -> None:
-    """Human-readable table of the grid results."""
-    stream = stream if stream is not None else sys.stdout
+def print_summary(rows: list[ResultRow]) -> None:
+    """Human-readable table of the grid results on stdout."""
     print(
         f"{'p_C':>6} {'rr':>5} {'c':>5} {'f':>5} {'n_total':>8} {'pilot':>6} "
-        f"{'power':>7} {'se':>7} {'status':>12}",
-        file=stream,
+        f"{'power':>7} {'se':>7} {'status':>12}"
     )
     for row in rows:
         n_total = "-" if row.n_total is None else str(row.n_total)
@@ -204,6 +200,5 @@ def print_summary(rows: list[ResultRow], stream=None) -> None:
         print(
             f"{row.control_rate:>6g} {row.risk_ratio:>5g} {row.pilot_rr_multiplier:>5g} "
             f"{row.pilot_fraction:>5g} {n_total:>8} {pilot:>6} {power:>7} {se:>7} "
-            f"{row.status:>12}",
-            file=stream,
+            f"{row.status:>12}"
         )

@@ -30,6 +30,9 @@ DEFAULT_MASTER_SEED = 20260808
 SEARCH_N_LO = 2
 SEARCH_N_HI = 20_000
 _SEED_MASK = (1 << 64) - 1
+# Largest definitive total: its arm sizes and every ln Γ argument of the
+# model (at most n_total + 3) stay within int64.
+_N_TOTAL_MAX = 1 << 62
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
 # Most replicates one chunk evaluates at once, which bounds its working
 # memory. Counts do not depend on how replicates are split into chunks.
@@ -98,6 +101,18 @@ def check_seed(value, name: str = "master_seed"):
     """A master seed: an integer (not a bool) in [0, 2**64)."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _SEED_MASK:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+
+
+def _check_stream_key(n_total, index: int = 0):
+    """A definitive total and a replicate index, as integers (not bools) in
+    the ranges that the Philox counter words and the model's int64 hold."""
+    for name, value, lo, hi in ("n_total", n_total, 2, _N_TOTAL_MAX), ("index", index, 0, _SEED_MASK):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+        if value > hi:
+            raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -240,29 +255,17 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
 
 def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> ReplicateBatch:
     """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    _check_stream_key(n_total, index)
     return simulate_batch(scenario, n_total, index, index + 1)
 
 
-def log_beta_binomial_pmf(y, n, a, b):
-    """ln P(Y = y) for Y ~ BetaBinomial(n, a, b), elementwise and unchecked.
+def _log_beta_binomial_pmf(lgamma, y, n, a, b):
+    """ln P(Y = y) for Y ~ BetaBinomial(n, a, b), elementwise and unchecked,
+    with ln Γ from ``lgamma``, which maps a number or an array of them.
 
     This is the log marginal likelihood of y successes in n Bernoulli trials
-    when the success probability carries a Beta(a, b) prior; the binomial
-    coefficient is included so the value is a true log probability. ln Γ
-    is +inf at its poles 0, -1, -2, ..., so a y outside 0..n is not an
-    error: it gives -inf, or nan where a pole of the beta terms meets it.
+    under a Beta(a, b) prior, binomial coefficient included.
     """
-    y, n, a, b = (np.asarray(v, dtype=np.float64) for v in (y, n, a, b))
-    return _log_beta_binomial_pmf(_lgamma_each, y, n, a, b)
-
-
-def _log_beta_binomial_pmf(lgamma, y, n, a, b):
-    """:func:`log_beta_binomial_pmf` with ln Γ from ``lgamma``, which maps a
-    number or an array of them to ln Γ elementwise."""
     log_choose = lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1)
     log_beta_post = lgamma(a + y) + lgamma(b + n - y) - lgamma(a + b + n)
     log_beta_prior = lgamma(a) + lgamma(b) - lgamma(a + b)
@@ -275,14 +278,7 @@ def _log_beta_binomial_pmf(lgamma, y, n, a, b):
 # Arguments past _LGAMMA_TABLE_CAP (8 MB of table) call math.lgamma instead.
 _lgamma_values = np.array([math.inf])
 _LGAMMA_TABLE_CAP = 1 << 20
-
-
-def _lgamma_or_pole(x: float) -> float:
-    """math.lgamma, but +inf at the poles 0, -1, -2, ... where it raises."""
-    return math.inf if x <= 0.0 and float(x).is_integer() else math.lgamma(x)
-
-
-_lgamma_each = np.vectorize(_lgamma_or_pole, otypes=[np.float64])
+_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
 def _lgamma_table(top: int) -> np.ndarray:
@@ -312,8 +308,8 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     Every shape is one plus a count, as the exact superiority sum requires.
     Each output has shape (m, 2), vague component first.
     """
-    # Every log-gamma argument is an integer of at most 2 + n_pilot + n_def,
-    # so the table is sized once here and read without checks.
+    # Every log-gamma argument is an integer from 1 to 2 + n_pilot + n_def (a, b >= 1,
+    # 0 <= y <= n): the table is sized once and read unchecked; math.lgamma meets no pole.
     top = 2 + n_pilot + n_def
     lgamma = _lgamma_table(top).__getitem__ if top <= _LGAMMA_TABLE_CAP else _lgamma_each
     k_pilot = y_pilot.astype(np.intp, copy=False)
@@ -358,7 +354,7 @@ def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def estimate_power(
-    scenario: DesignScenario, n_total: int, workers: int = 1, *, pool=None
+    scenario: DesignScenario, n_total: int, *, workers: int = 1, pool=None
 ) -> PowerEstimate:
     """Fraction of scenario.replicates simulated trials declaring superiority.
 
@@ -368,8 +364,8 @@ def estimate_power(
     run on ``pool`` when one is given (a search passes the pool it keeps for
     all its probes), otherwise on a pool opened for this call.
     """
-    if n_total < 2:
-        raise ValueError(f"n_total must be >= 2, got {n_total}")
+    _check_stream_key(n_total)
+    check_positive_int(workers, "workers")
     total = scenario.replicates
     tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
     if workers > 1 and len(tasks) > 1:
@@ -441,8 +437,8 @@ def find_min_sample_size(
     silently truncating. With several workers and more than one chunk per
     probe, one process pool serves every probe of the search.
     """
-    if not 0.0 < target_power < 1.0:
-        raise ValueError(f"target_power must lie in (0, 1), got {target_power}")
+    check_open_probability(target_power, "target_power")
+    check_positive_int(workers, "workers")
     if n_lo % 2 or n_hi % 2:
         raise ValueError(f"n_lo and n_hi must be even, got ({n_lo}, {n_hi})")
     if not 2 <= n_lo < n_hi:

@@ -33,6 +33,15 @@ REJECTED = [
     pytest.param(["power", *_CELL, "--n-total", "1"], {}, 0, id="power-n-total"),
     pytest.param(["replicate", *_CELL, "--n-total", "1"], {}, 0, id="replicate-n-total"),
     pytest.param(["replicate", *_CELL, "--n-total", "40", "--index", "-1"], {}, 0, id="index"),
+    # the Philox counter words are 64-bit
+    pytest.param(
+        ["replicate", *_CELL, "--n-total", "40", "--index", str(1 << 64)], {}, 0, id="index-overflow"
+    ),
+    pytest.param(["power", *_CELL, "--n-total", str((1 << 64) + 2)], {}, 0, id="n-total-overflow"),
+    pytest.param(
+        ["replicate", *_CELL, "--n-total", str((1 << 64) + 2)], {}, 0, id="replicate-n-total-overflow"
+    ),
+    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(["conflict", *_CELL, "--target-power", "1.5"], {}, 0, id="target-power"),
     pytest.param(
         ["conflict", *_CELL, "--target-power", "1.5", "--workers", "2", "--replicates", "200"],
@@ -86,7 +95,6 @@ REJECTED = [
         ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers", "1.4"], {}, 0, id="multiplier-big"
     ),
     # checked by the command line alone
-    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(_RECRUIT, {}, 0, id="recruit-needs-window"),
     # flags a command does not read are not among its options
     pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
@@ -164,7 +172,7 @@ class TestPowerCommand:
             ["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40", "--workers", workers]
         )
         assert code == EXIT_VALIDATION
-        assert "--workers" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: workers must be a positive integer, got {workers}\n"
 
 
     @pytest.mark.parametrize("rates", [["--rr", "nan"], ["--rr", "1.7", "--multiplier", "nan"]])

@@ -221,4 +221,12 @@ class TestParseConfig:
             }
         )
         config = parse_config(text)
-        assert parse_config(config.to_json()) == config
+        assert config.cells == tuple(
+            GridCell(control_rate=p_c, risk_ratio=1.7, pilot_fraction=f)
+            for p_c in (0.06, 0.25)
+            for f in (0.0, 0.2)
+        )
+        assert (config.target_power, config.threshold) == (0.85, 0.95)
+        assert (config.replicates, config.master_seed, config.workers) == (500, 42, 2)
+        assert config.output_path == "out.csv"
+        assert config.recruitment == RecruitmentPlan(rates=(5.0,), months=(24.0, 46.0))

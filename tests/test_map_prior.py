@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from pilot_borrow.decision import exceedance_pairs
-from pilot_borrow.simulate import DesignScenario, _posterior_components, log_beta_binomial_pmf
+from pilot_borrow.simulate import DesignScenario, _posterior_components
 
 from oracles import mixture_mean_quad, updated_weight_quad
 
@@ -104,7 +104,7 @@ class TestUpdatePosterior:
     def test_sequential_batches_match_single_update(self):
         # Bayes' rule applied to the posterior after 10 of 40, with 15 of 60 more
         weights, alphas, betas = update(0.5, (7, 25), (10, 40))
-        log_w = np.log(weights) + log_beta_binomial_pmf(15, 60, alphas, betas)
+        log_w = np.log(weights) + stats.betabinom.logpmf(15, 60, alphas, betas)
         step_weights = np.exp(log_w - logsumexp(log_w))
         step_alphas, step_betas = alphas + 15, betas + 45
         single = update(0.5, (7, 25), (25, 100))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ class TestDesignScenario:
         (name,) = setting
         with pytest.raises(ValueError, match=name):
             DesignScenario(control_rate=0.25, risk_ratio=1.7, **setting)
+
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda s: estimate_power(s, 40, workers=0), "workers"),
+            (lambda s: estimate_power(s, 40, workers=-3), "workers"),
+            (lambda s: estimate_power(s, 40, workers=2.5), "workers"),
+            (lambda s: estimate_power(replace(s, replicates=5000), 40, workers=2.5), "workers"),
+            (lambda s: estimate_power(s, 40, workers=True), "workers"),
+            (lambda s: find_min_sample_size(s, workers=0), "workers"),
+            (lambda s: find_min_sample_size(s, workers=2.5), "workers"),
+            (lambda s: find_min_sample_size(s, workers=True), "workers"),
+            (lambda s: find_min_sample_size(s, target_power=True), "target_power"),
+            (lambda s: find_min_sample_size(s, target_power=float("nan")), "target_power"),
+            (lambda s: estimate_power(s, 206.0), "n_total"),
+            (lambda s: estimate_power(s, True), "n_total"),
+            (lambda s: estimate_power(s, (1 << 64) + 2), "n_total"),
+            (lambda s: trace_replicate(s, 206.0, 0), "n_total"),
+            (lambda s: trace_replicate(s, (1 << 64) + 2, 0), "n_total"),
+            (lambda s: trace_replicate(s, 40, 1 << 64), "index"),
+            (lambda s: trace_replicate(s, 40, 1.0), "index"),
+        ],
+    )
+    def test_simulation_arguments_are_checked_by_type_and_range(self, call, name):
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=20)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(scenario)
+
+    def test_last_replicate_index_runs(self):
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7)
+        assert trace_replicate(scenario, 40, (1 << 64) - 1).draws.shape == (1, 4)
 
     @pytest.mark.parametrize("field", ["risk_ratio", "pilot_rr_multiplier"])
     def test_nan_is_rejected(self, field):

@@ -11,8 +11,8 @@ from pilot_borrow import simulate
 from pilot_borrow.recruitment import reg_inc_beta
 from pilot_borrow.simulate import (
     DesignScenario,
+    _log_beta_binomial_pmf,
     _posterior_components,
-    log_beta_binomial_pmf,
     replicate_stream,
     simulate_batch,
     trace_replicate,
@@ -70,31 +70,43 @@ class TestRegIncBeta:
                 reg_inc_beta(0.5, a, b)
 
 
+def log_pmf(y, n, a, b):
+    """The model's beta-binomial log pmf at integer shapes, ln Γ read from its table."""
+    a, b = int(a), int(b)
+    lgamma = simulate._lgamma_table(a + b + n).__getitem__
+    return _log_beta_binomial_pmf(lgamma, np.asarray(y), n, a, b)
+
+
 class TestLogBetaBinomialPmf:
+    """The marginal of the robust-MAP weight update, where each shape is one plus a count."""
+
     def test_uniform_prior_makes_counts_equally_likely(self):
         n = 7
-        values = log_beta_binomial_pmf(np.arange(n + 1), n, 1.0, 1.0)
+        values = log_pmf(np.arange(n + 1), n, 1, 1)
         assert values == pytest.approx(np.full(n + 1, -math.log(n + 1)), abs=1e-12)
 
-    def test_counts_outside_the_support_have_zero_mass(self):
-        # y = n + 1 puts ln Γ(n - y + 1) at its pole 0, y = -1 puts ln Γ(y + 1) there
-        values = log_beta_binomial_pmf(np.array([-1, 11]), 10, 2.5, 7.0)
-        assert values.tolist() == [-math.inf, -math.inf]
-
     def test_empty_experiment(self):
-        assert log_beta_binomial_pmf(0, 0, 2.5, 7.0) == 0.0
+        assert log_pmf(0, 0, 3, 7) == 0.0
 
     def test_frozen_quadrature_value(self):
         # oracle: quadrature of C(10,3) p^3 (1-p)^7 * Beta(p; 6, 16) over [0, 1]
-        value = float(log_beta_binomial_pmf(3, 10, 6.0, 16.0))
+        value = float(log_pmf(3, 10, 6, 16))
         assert value == pytest.approx(-1.5355717840988203, abs=1e-10)
         live = math.log(beta_binomial_marginal_quad(3, 10, 6.0, 16.0))
         assert value == pytest.approx(live, abs=1e-10)
 
-    @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 10), (0.5, 0.5, 50), (6.0, 16.0, 30), (40.0, 2.0, 50)])
+    @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 10), (6.0, 16.0, 30), (40.0, 2.0, 50)])
     def test_pmf_sums_to_one(self, a, b, n):
-        total = float(np.sum(np.exp(log_beta_binomial_pmf(np.arange(n + 1), n, a, b))))
+        total = float(np.sum(np.exp(log_pmf(np.arange(n + 1), n, a, b))))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 7), (7, 3), (40, 2)])
+    def test_matches_scipy(self, a, b):
+        from scipy import stats
+
+        y = np.arange(51)
+        expected = stats.betabinom.logpmf(y, 50, a, b)
+        assert log_pmf(y, 50, a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestLogGammaTable:
@@ -117,22 +129,36 @@ class TestLogGammaTable:
             assert np.array_equal(before, after)
 
     def test_past_the_cap_math_lgamma_gives_the_same_values(self, monkeypatch):
-        args = (0.5, np.array([3, 9]), 12, np.array([20, 31]), 40)
-        tabled = _posterior_components(*args)
-        monkeypatch.setattr(simulate, "_LGAMMA_TABLE_CAP", 10)
-        monkeypatch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
-        untabled = _posterior_components(*args)
-        assert len(simulate._lgamma_values) == 1
-        for a, b in zip(tabled, untabled):
-            assert np.array_equal(a, b)
+        # math.lgamma raises at its poles 0, -1, -2, ..., so the extreme counts
+        # also show that the model forms no ln Γ argument below 1
+        cases = [
+            (0.5, [3, 9], 12, [20, 31], 40),
+            (0.5, [0, 12, 0, 12], 12, [0, 0, 40, 40], 40),  # y_pilot, y_def at 0 and n
+            (0.5, [0, 0], 0, [0, 40], 40),  # an empty pilot arm
+            (0.0, [0, 12, 3], 12, [40, 0, 20], 40),
+            (1.0, [0, 12, 3], 12, [40, 0, 20], 40),
+        ]
+        for weight, y_pilot, n_pilot, y_def, n_def in cases:
+            args = (weight, np.array(y_pilot), n_pilot, np.array(y_def), n_def)
+            tabled = _posterior_components(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_LGAMMA_TABLE_CAP", 10)
+                patch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
+                untabled = _posterior_components(*args)
+                assert len(simulate._lgamma_values) == 1
+            for a, b in zip(tabled, untabled):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.5, 7.0), (7.0, 2.5), (40.0, 2.5)])
     def test_non_integer_shapes_match_scipy(self, a, b):
+        # past the cap ln Γ is math.lgamma per element, which holds at real
+        # arguments as well; the model itself forms integer ones only
         from scipy import stats
 
         y = np.arange(51)
         expected = stats.betabinom.logpmf(y, 50, a, b)
-        assert log_beta_binomial_pmf(y, 50, a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        value = _log_beta_binomial_pmf(simulate._lgamma_each, y, 50, a, b)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestSampleBinomial:
