@@ -24,7 +24,6 @@ from .simulate import (
     estimate_power,
     find_min_sample_size,
     pilot_size,
-    replicate_stream,
     simulate_batch,
     split_arms,
     trace_replicate,
@@ -53,7 +52,6 @@ __all__ = [
     "pilot_size",
     "recruitment_probability",
     "reg_inc_beta",
-    "replicate_stream",
     "round_months",
     "run_grid",
     "simulate_batch",

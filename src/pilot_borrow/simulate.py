@@ -6,11 +6,11 @@ range of replicates as arrays: each replicate simulates a pilot study, takes
 a robust mixture prior per arm from the pilot counts, simulates the
 definitive trial, updates both posteriors and applies the superiority
 decision. Power probes count its decisions, and :func:`trace_replicate`
-runs it on a single replicate for inspection. Replicates are driven by
-counter-based Philox streams keyed on (master_seed, n_total, replicate
-index), and a replicate's decision is a pure function of those three
-values, so results are bit-identical across runs, chunk layouts and any
-number of worker processes.
+runs it on a single replicate for inspection. Replicates draw in fixed
+blocks of ``_DRAW_BLOCK``, each from a counter-based Philox stream keyed on
+(master_seed, n_total, block), and a replicate's decision is a pure function
+of (master_seed, n_total, replicate index), so results are bit-identical
+across runs, chunk layouts and any number of worker processes.
 """
 
 import math
@@ -37,6 +37,9 @@ _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
 # Most replicates one chunk evaluates at once, which bounds its working
 # memory. Counts do not depend on how replicates are split into chunks.
 _REPLICATE_CHUNK = 4096
+# Replicates that share one Philox stream. Part of the stream layout, so
+# changing it changes every draw; chunks need not align to it.
+_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,15 @@ def check_seed(value, name: str = "master_seed"):
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
 
-def _check_stream_key(n_total, index: int = 0):
-    """A definitive total and a replicate index, as integers (not bools) in
-    the ranges that the Philox counter words and the model's int64 hold."""
-    for name, value, lo, hi in ("n_total", n_total, 2, _N_TOTAL_MAX), ("index", index, 0, _SEED_MASK):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < lo:
-            raise ValueError(f"{name} must be >= {lo}, got {value}")
-        if value > hi:
-            raise ValueError(f"{name} must be <= {hi}, got {value}")
+def _check_integer(value, name: str, lo: int = 2, hi: int = _N_TOTAL_MAX):
+    """An integer argument (not a bool) in [lo, hi]. The default range is that
+    of a definitive total, whose arm sizes and ln Γ arguments stay in int64."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    if value > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -172,18 +174,6 @@ def pilot_size(fraction: float, n_total: int) -> int:
     return int(math.floor(fraction * n_total + 0.5))
 
 
-def replicate_stream(master_seed: int, n_total: int, index: int) -> np.random.Generator:
-    """Independent Philox stream for one replicate.
-
-    The replicate identity goes into the high counter words: streams with
-    distinct (index, n_total) can never overlap, and the mapping does not
-    depend on scheduling or worker count. :func:`simulate_batch` reproduces
-    these streams without building one generator per replicate.
-    """
-    bitgen = np.random.Philox(key=master_seed, counter=[0, 0, index, n_total])
-    return np.random.Generator(bitgen)
-
-
 class ReplicateBatch(NamedTuple):
     """Every intermediate of a range of replicates, one row per replicate.
 
@@ -204,37 +194,30 @@ class ReplicateBatch(NamedTuple):
 def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int) -> ReplicateBatch:
     """Replicates [start, stop) of one design, vectorized.
 
-    Replicate i takes its draws, in the column order of ``draws``, from the
-    stream ``replicate_stream(master_seed, n_total, i)``: one bit generator
-    serves the batch, and setting its counter and emptying its output
-    buffer gives each replicate the draws of a fresh stream. An empty pilot
-    arm draws nothing (numpy's binomial returns 0 for n = 0 without
-    consuming the stream), so its call is skipped. Every later step is
+    Replicate i is row i % _DRAW_BLOCK of its block i // _DRAW_BLOCK, whose
+    draws come from one ``Generator.binomial`` call on the stream
+    ``Philox(key=master_seed, counter=[0, 0, block, n_total])``, with the
+    four arm sizes and rates of ``draws``' columns as a (rows, 4) array.
+    numpy fills it in C order, so a block's first k rows do not depend on
+    how many rows are drawn: a range that starts inside a block draws that
+    block from its first row and drops the rows before ``start``. An empty
+    pilot arm draws 0 without consuming the stream. Every later step is
     elementwise, so a replicate's values do not depend on the range it runs
     in. Success is a superiority probability strictly above the threshold.
     """
-    count = stop - start
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
     control_n, treatment_n = split_arms(n_total)
+    sizes = (pilot_control_n, pilot_treatment_n, control_n, treatment_n)
     p_control = scenario.control_rate
-    p_treatment = scenario.treatment_rate
-    p_pilot_treatment = scenario.pilot_treatment_rate
+    rates = (p_control, scenario.pilot_treatment_rate, p_control, scenario.treatment_rate)
 
-    bitgen = np.random.Philox(key=scenario.master_seed)
-    binomial = np.random.Generator(bitgen).binomial
-    state = bitgen.state  # a fresh state: buffer_pos 4 and has_uint32 0, nothing buffered
-    counter = np.array([0, 0, 0, n_total], dtype=np.uint64)
-    state["state"]["counter"] = counter
-    y = np.zeros((count, 4), dtype=np.int64)
-    for i in range(count):
-        counter[2] = start + i
-        bitgen.state = state
-        if pilot_control_n:
-            y[i, 0] = binomial(pilot_control_n, p_control)
-        if pilot_treatment_n:
-            y[i, 1] = binomial(pilot_treatment_n, p_pilot_treatment)
-        y[i, 2] = binomial(control_n, p_control)
-        y[i, 3] = binomial(treatment_n, p_treatment)
+    first = start // _DRAW_BLOCK
+    blocks = [np.empty((0, 4), dtype=np.int64)]  # an empty range draws nothing
+    for block in range(first, -(-stop // _DRAW_BLOCK)):
+        bitgen = np.random.Philox(key=scenario.master_seed, counter=[0, 0, block, n_total])
+        rows = min(stop - block * _DRAW_BLOCK, _DRAW_BLOCK)
+        blocks.append(np.random.Generator(bitgen).binomial(sizes, rates, size=(rows, 4)))
+    y = np.concatenate(blocks)[start - first * _DRAW_BLOCK:]
 
     control = _posterior_components(
         scenario.prior_weight, y[:, 0], pilot_control_n, y[:, 2], control_n
@@ -244,7 +227,7 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     )
     probs = mixture_superiority_batch(*treatment, *control)
     return ReplicateBatch(
-        sizes=(pilot_control_n, pilot_treatment_n, control_n, treatment_n),
+        sizes=sizes,
         draws=y,
         control=control,
         treatment=treatment,
@@ -255,7 +238,9 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
 
 def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> ReplicateBatch:
     """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
-    _check_stream_key(n_total, index)
+    _check_integer(n_total, "n_total")
+    # the block number of the largest index fits a 64-bit Philox counter word
+    _check_integer(index, "index", 0, _SEED_MASK)
     return simulate_batch(scenario, n_total, index, index + 1)
 
 
@@ -364,7 +349,7 @@ def estimate_power(
     run on ``pool`` when one is given (a search passes the pool it keeps for
     all its probes), otherwise on a pool opened for this call.
     """
-    _check_stream_key(n_total)
+    _check_integer(n_total, "n_total")
     check_positive_int(workers, "workers")
     total = scenario.replicates
     tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
@@ -439,10 +424,12 @@ def find_min_sample_size(
     """
     check_open_probability(target_power, "target_power")
     check_positive_int(workers, "workers")
+    _check_integer(n_lo, "n_lo")
+    _check_integer(n_hi, "n_hi")
     if n_lo % 2 or n_hi % 2:
         raise ValueError(f"n_lo and n_hi must be even, got ({n_lo}, {n_hi})")
-    if not 2 <= n_lo < n_hi:
-        raise ValueError(f"need 2 <= n_lo < n_hi, got ({n_lo}, {n_hi})")
+    if n_lo >= n_hi:
+        raise ValueError(f"need n_lo < n_hi, got ({n_lo}, {n_hi})")
 
     shared = workers > 1 and scenario.replicates > _REPLICATE_CHUNK
     with ProcessPoolExecutor(max_workers=workers) if shared else nullcontext() as pool:

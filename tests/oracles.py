@@ -8,6 +8,8 @@ shapes, a 50-digit ``decimal`` beta-binomial sum or a windowed
 Gauss-Legendre rule over scipy's incomplete beta, design power from exact
 enumeration or an independent sampler, and Negative-Binomial tails from
 direct pmf summation, Gamma-Poisson sampling or exact rational arithmetic.
+Replicate draws come from numpy's ``Philox`` and ``Generator``, one scalar
+draw at a time.
 """
 
 import decimal
@@ -16,6 +18,20 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special, stats
+
+
+def block_stream_draws(master_seed: int, n_total: int, sizes, rates, replicates: int) -> np.ndarray:
+    """Binomial draws of replicates [0, replicates), one row each, in the
+    column order of ``sizes`` and ``rates``. Replicate i is row i % 256 of
+    block i // 256, and a block draws its rows in order, one scalar at a time,
+    from ``Philox(key=master_seed, counter=[0, 0, block, n_total])``."""
+    rows = []
+    for index in range(replicates):
+        if index % 256 == 0:
+            bitgen = np.random.Philox(key=master_seed, counter=[0, 0, index // 256, n_total])
+            rng = np.random.Generator(bitgen)
+        rows.append([rng.binomial(n, p) for n, p in zip(sizes, rates)])
+    return np.array(rows, dtype=np.int64).reshape(-1, len(sizes))
 
 
 def beta_binomial_marginal_quad(y: int, n: int, a: float, b: float) -> float:

@@ -10,6 +10,8 @@ import pytest
 from pilot_borrow.cli import EXIT_FLAGGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from pilot_borrow.simulate import DesignScenario, find_min_sample_size
 
+from oracles import block_stream_draws
+
 
 def write_config(tmp_path, **extra):
     doc = {
@@ -384,30 +386,30 @@ class TestReplicateCommand:
                 [],
                 """\
 replicate index=3 seed=42 n_total=206
-pilot draws: control 7/21, treatment 8/20
-prior control:   0.500000 * Beta(1, 1) + 0.500000 * Beta(8, 15)
-prior treatment: 0.500000 * Beta(1, 1) + 0.500000 * Beta(9, 13)
-definitive draws: control 27/103, treatment 40/103
-posterior control:   0.250640 * Beta(28, 77) + 0.749360 * Beta(35, 91)
-posterior treatment: 0.225026 * Beta(41, 64) + 0.774974 * Beta(49, 76)
-updated informative weight: control 0.749360, treatment 0.774974
-superiority probability: 0.972962
-decision: not superior
+pilot draws: control 4/21, treatment 9/20
+prior control:   0.500000 * Beta(1, 1) + 0.500000 * Beta(5, 18)
+prior treatment: 0.500000 * Beta(1, 1) + 0.500000 * Beta(10, 12)
+definitive draws: control 26/103, treatment 42/103
+posterior control:   0.219867 * Beta(27, 78) + 0.780133 * Beta(31, 95)
+posterior treatment: 0.237401 * Beta(43, 62) + 0.762599 * Beta(52, 73)
+updated informative weight: control 0.780133, treatment 0.762599
+superiority probability: 0.996771
+decision: superior
 """,
             ),
             (
                 ["--w", "0.3"],
                 """\
 replicate index=3 seed=42 n_total=206
-pilot draws: control 7/21, treatment 8/20
-prior control:   0.700000 * Beta(1, 1) + 0.300000 * Beta(8, 15)
-prior treatment: 0.700000 * Beta(1, 1) + 0.300000 * Beta(9, 13)
-definitive draws: control 27/103, treatment 40/103
-posterior control:   0.438340 * Beta(28, 77) + 0.561660 * Beta(35, 91)
-posterior treatment: 0.403882 * Beta(41, 64) + 0.596118 * Beta(49, 76)
-updated informative weight: control 0.561660, treatment 0.596118
-superiority probability: 0.972866
-decision: not superior
+pilot draws: control 4/21, treatment 9/20
+prior control:   0.700000 * Beta(1, 1) + 0.300000 * Beta(5, 18)
+prior treatment: 0.700000 * Beta(1, 1) + 0.300000 * Beta(10, 12)
+definitive draws: control 26/103, treatment 42/103
+posterior control:   0.396722 * Beta(27, 78) + 0.603278 * Beta(31, 95)
+posterior treatment: 0.420753 * Beta(43, 62) + 0.579247 * Beta(52, 73)
+updated informative weight: control 0.603278, treatment 0.579247
+superiority probability: 0.995616
+decision: superior
 """,
             ),
         ],
@@ -422,6 +424,13 @@ decision: not superior
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out == expected
+
+
+    def test_pinned_draws_match_the_block_stream_reference(self):
+        # replicate 3 is row 3 of block 0; arms (21, 20, 103, 103) at rates (0.25, 0.425)
+        rates = (0.25, 1.7 * 0.25, 0.25, 1.7 * 0.25)
+        draws = block_stream_draws(42, 206, (21, 20, 103, 103), rates, 4)[3]
+        assert list(draws) == [4, 9, 26, 42]
 
 
 def test_import_path_is_free_of_scipy():

@@ -15,33 +15,27 @@ from pilot_borrow.simulate import (
     estimate_power,
     find_min_sample_size,
     pilot_size,
-    replicate_stream,
     simulate_batch,
     split_arms,
     trace_replicate,
 )
 
-from oracles import beta_exceedance_window, robust_posterior_weight
+from oracles import beta_exceedance_window, block_stream_draws, robust_posterior_weight
 
 FAST = dict(replicates=1500, master_seed=90210)
 
 
 def stream_draws(scenario, n_total, replicates):
     """(pilot control, pilot treatment, control, treatment) draws, one row per
-    replicate, each from its own ``replicate_stream``."""
+    replicate, from the independent block-stream reference."""
     pilot_c, pilot_t = split_arms(pilot_size(scenario.pilot_fraction, n_total))
     control, treatment = split_arms(n_total)
-    arms = (
-        (pilot_c, scenario.control_rate),
-        (pilot_t, scenario.pilot_treatment_rate),
-        (control, scenario.control_rate),
-        (treatment, scenario.treatment_rate),
+    sizes = (pilot_c, pilot_t, control, treatment)
+    rates = (
+        scenario.control_rate, scenario.pilot_treatment_rate, scenario.control_rate,
+        scenario.treatment_rate,
     )
-    rows = []
-    for index in range(replicates):
-        rng = replicate_stream(scenario.master_seed, n_total, index)
-        rows.append([rng.binomial(n, p) for n, p in arms])
-    return np.array(rows), (pilot_c, pilot_t, control, treatment)
+    return block_stream_draws(scenario.master_seed, n_total, sizes, rates, replicates), sizes
 
 
 def single_component_decisions(scenario, n_total, informative: bool) -> np.ndarray:
@@ -121,6 +115,11 @@ class TestDesignScenario:
             (lambda s: find_min_sample_size(s, workers=True), "workers"),
             (lambda s: find_min_sample_size(s, target_power=True), "target_power"),
             (lambda s: find_min_sample_size(s, target_power=float("nan")), "target_power"),
+            (lambda s: find_min_sample_size(s, n_hi=2000.0), "n_hi"),
+            (lambda s: find_min_sample_size(s, n_hi=10**30), "n_hi"),
+            (lambda s: find_min_sample_size(s, n_lo=True), "n_lo"),
+            (lambda s: find_min_sample_size(s, n_lo=2.0), "n_lo"),
+            (lambda s: find_min_sample_size(s, n_lo=0), "n_lo"),
             (lambda s: estimate_power(s, 206.0), "n_total"),
             (lambda s: estimate_power(s, True), "n_total"),
             (lambda s: estimate_power(s, (1 << 64) + 2), "n_total"),
@@ -165,13 +164,34 @@ class TestDesignScenario:
 
 class TestReplicateStream:
     def test_reproducible_and_distinct(self):
-        a = replicate_stream(123, 100, 7).binomial(50, 0.5, 8)
-        b = replicate_stream(123, 100, 7).binomial(50, 0.5, 8)
-        c = replicate_stream(123, 100, 8).binomial(50, 0.5, 8)
-        d = replicate_stream(123, 102, 7).binomial(50, 0.5, 8)
+        scenario = DesignScenario(control_rate=0.3, risk_ratio=1.5, pilot_fraction=0.2, master_seed=123)
+        a = simulate_batch(scenario, 100, 0, 8).draws
+        b = simulate_batch(scenario, 100, 0, 8).draws
+        c = simulate_batch(scenario, 100, 256, 264).draws  # the next block
+        d = simulate_batch(scenario, 102, 0, 8).draws  # another total
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    @pytest.mark.parametrize(
+        "start,stop",
+        [(0, 1), (0, 255), (0, 256), (0, 257), (1, 2), (3, 200), (100, 256), (255, 257),
+         (256, 512), (300, 301), (300, 700), (511, 513), (700, 1000), (999, 1000), (5, 5)],
+    )
+    def test_rows_do_not_depend_on_the_range(self, start, stop):
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, master_seed=41)
+        full = simulate_batch(scenario, 206, 0, 1000)
+        part = simulate_batch(scenario, 206, start, stop)
+        assert np.array_equal(part.draws, full.draws[start:stop])
+        assert np.array_equal(part.superiority, full.superiority[start:stop])
+
+    def test_trace_is_its_row_of_the_full_batch(self):
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, master_seed=42)
+        full = simulate_batch(scenario, 206, 0, 600)
+        for index in (0, 3, 255, 256, 257, 511, 599):
+            trace = trace_replicate(scenario, 206, index)
+            assert np.array_equal(trace.draws[0], full.draws[index]), index
+            assert trace.superiority[0] == full.superiority[index], index
 
 
 class TestSimulateReplicate:
@@ -247,10 +267,14 @@ class TestEstimatePower:
             control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=replicates,
             master_seed=78,
         )
-        expected = np.count_nonzero(simulate_batch(scenario, 40, 0, replicates).success)
+        full = simulate_batch(scenario, 40, 0, replicates).success
+        expected = np.count_nonzero(full)
         for workers in (1, 2, 3):
             estimate = estimate_power(scenario, 40, workers=workers)
             assert round(estimate.power * replicates) == expected, f"workers={workers}"
+            bounds = _chunk_bounds(replicates, workers)
+            chunks = [simulate_batch(scenario, 40, lo, hi).success for lo, hi in bounds]
+            assert np.array_equal(np.concatenate(chunks), full), f"workers={workers}"
 
     def test_chunks_are_balanced(self):
         for replicates in (1, 4095, 4096, 4097, 8193, 10_000, 40_000):

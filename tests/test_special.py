@@ -13,12 +13,11 @@ from pilot_borrow.simulate import (
     DesignScenario,
     _log_beta_binomial_pmf,
     _posterior_components,
-    replicate_stream,
     simulate_batch,
     trace_replicate,
 )
 
-from oracles import beta_binomial_marginal_quad
+from oracles import beta_binomial_marginal_quad, block_stream_draws
 
 
 class TestRegIncBeta:
@@ -185,8 +184,8 @@ class TestSampleBinomial:
         assert np.array_equal(simulate_batch(scenario, 100, 10, 20).draws, draws_a[10:20])
         sizes = simulate_batch(scenario, 100, 7, 8).sizes
         probabilities = (0.3, 0.45, 0.3, 0.45)
-        rng = replicate_stream(scenario.master_seed, 100, 7)
-        assert [rng.binomial(n, p) for n, p in zip(sizes, probabilities)] == list(draws_a[7])
+        reference = block_stream_draws(scenario.master_seed, 100, sizes, probabilities, 8)
+        assert list(reference[7]) == list(draws_a[7])
 
     def test_law_of_large_numbers(self):
         # 500,000 replicates of two Binomial(100, 0.25) definitive arms
