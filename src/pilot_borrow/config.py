@@ -6,14 +6,16 @@ fractions, and pilot risk-ratio multipliers). Cells whose implied success
 probability exceeds one are kept but flagged infeasible rather than
 rejected, so a factorial grid can be submitted as-is.
 
-Schema (all keys optional unless marked; unknown keys are rejected)::
+Schema (all keys optional unless marked; unknown keys are rejected). A key
+that a document leaves out takes the default of the dataclass field it sets
+(GridCell, RunConfig or RecruitmentPlan); this module restates none::
 
     {
       "scenarios": {                       # required; dict shorthand ...
         "p_C": [0.06, 0.25, 0.6],          #   required list
         "rr": [1.3, 1.7, 1.9],             #   required list
-        "pilot_fraction": [0, 0.2],        #   default [0.0]
-        "rr_pilot_multiplier": [1.0]       #   default [1.0]
+        "pilot_fraction": [0, 0.2],        #   optional list
+        "rr_pilot_multiplier": [1.0]       #   optional list
       },                                   # ... or a list of cell objects:
       # "scenarios": [{"p_C": 0.25, "rr": 1.7, "pilot_fraction": 0.2,
       #                "rr_pilot_multiplier": 1.0, "w": 0.5}, ...]
@@ -21,7 +23,7 @@ Schema (all keys optional unless marked; unknown keys are rejected)::
       "phi": 0.975,
       "replicates": 10000,
       "master_seed": 20260808,
-      "workers": 1,                        # positive int or "auto"
+      "workers": 1,                        # positive int, or "auto": the CPU count
       "output_path": "results.csv",
       "recruitment": {
         "lambda0": [2, 5, 10],             # recruits per month
@@ -45,6 +47,17 @@ from .simulate import (
     check_seed,
 )
 
+# config key of each RunConfig field
+_RUN_KEYS = {
+    "scenarios": "cells",
+    "target_power": "target_power",
+    "phi": "threshold",
+    "replicates": "replicates",
+    "master_seed": "master_seed",
+    "workers": "workers",
+    "output_path": "output_path",
+    "recruitment": "recruitment",
+}
 # config key of each GridCell field
 _CELL_KEYS = {
     "p_C": "control_rate",
@@ -96,9 +109,6 @@ class RecruitmentPlan:
         return n_total
 
 
-DEFAULT_RECRUITMENT = RecruitmentPlan()
-
-
 @dataclass(frozen=True)
 class RunConfig:
     cells: tuple[GridCell, ...]
@@ -106,7 +116,7 @@ class RunConfig:
     threshold: float = 0.975
     replicates: int = 10_000
     master_seed: int = DEFAULT_MASTER_SEED
-    workers: int | None = 1  # None means "auto"
+    workers: int = 1
     output_path: str | None = None
     recruitment: RecruitmentPlan = field(default_factory=RecruitmentPlan)
 
@@ -118,16 +128,15 @@ class RunConfig:
             check_open_probability(self.target_power, "target_power")
             check_open_probability(self.threshold, "phi (threshold)")
             check_positive_int(self.replicates, "replicates")
-            if self.workers is not None:
-                check_positive_int(self.workers, "workers")
+            check_positive_int(self.workers, "workers")
             check_seed(self.master_seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def resolved_workers(self) -> int:
-        if self.workers is None:
-            return max(os.cpu_count() or 1, 1)
-        return self.workers
+        if self.output_path is not None:
+            _require(
+                isinstance(self.output_path, str) and self.output_path,
+                "output_path must be a non-empty string",
+            )
 
     def infeasible_cells(self) -> tuple[GridCell, ...]:
         return tuple(cell for cell in self.cells if not cell.feasible)
@@ -162,14 +171,27 @@ def _parse_cell(item: dict, where: str) -> GridCell:
 
 
 def _expand_shorthand(obj: dict) -> tuple[GridCell, ...]:
-    """Cross product of the lists, last key fastest; each cell checked as a list cell."""
-    keys = ("p_C", "rr", "pilot_fraction", "rr_pilot_multiplier")
-    _check_keys(obj, set(keys), "scenarios")
+    """Cross product of the lists given, last key fastest; each cell checked as a list cell."""
+    listed = ("p_C", "rr", "pilot_fraction", "rr_pilot_multiplier")
+    _check_keys(obj, set(listed), "scenarios")
     _require("p_C" in obj, "scenarios is missing p_C")
     _require("rr" in obj, "scenarios is missing rr")
-    lists = {"pilot_fraction": [0.0], "rr_pilot_multiplier": [1.0], **obj}
-    combos = itertools.product(*(_as_number_list(lists[key], f"scenarios.{key}") for key in keys))
+    keys = [key for key in listed if key in obj]
+    combos = itertools.product(*(_as_number_list(obj[key], f"scenarios.{key}") for key in keys))
     return tuple(_parse_cell(dict(zip(keys, combo)), "scenarios") for combo in combos)
+
+
+def _parse_recruitment(block) -> RecruitmentPlan:
+    """Type-check the recruitment object; RecruitmentPlan checks the values."""
+    _require(isinstance(block, dict), "recruitment must be an object")
+    _check_keys(block, {"lambda0", "months", "rate_interpretation"}, "recruitment")
+    plan = dict(block)
+    if "lambda0" in plan:
+        plan["rates"] = tuple(_as_number_list(plan.pop("lambda0"), "recruitment.lambda0"))
+    if "months" in plan:
+        _require(isinstance(plan["months"], list), "recruitment.months must be a list")
+        plan["months"] = tuple(_as_number(v, "recruitment.months") for v in plan["months"])
+    return RecruitmentPlan(**plan)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -187,60 +209,22 @@ def parse_config(text: str) -> RunConfig:
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _require(isinstance(doc, dict), "config document must be a JSON object")
-    _check_keys(
-        doc,
-        {
-            "scenarios",
-            "target_power",
-            "phi",
-            "replicates",
-            "master_seed",
-            "workers",
-            "output_path",
-            "recruitment",
-        },
-        "config",
-    )
+    _check_keys(doc, set(_RUN_KEYS), "config")
     _require("scenarios" in doc, "config is missing scenarios")
+    settings = {_RUN_KEYS[key]: value for key, value in doc.items()}
 
     scenarios = doc["scenarios"]
     if isinstance(scenarios, dict):
-        cells = _expand_shorthand(scenarios)
+        settings["cells"] = _expand_shorthand(scenarios)
     elif isinstance(scenarios, list):
         _require(len(scenarios) > 0, "scenarios list must be non-empty")
-        cells = tuple(_parse_cell(item, f"scenarios[{i}]") for i, item in enumerate(scenarios))
+        settings["cells"] = tuple(
+            _parse_cell(item, f"scenarios[{i}]") for i, item in enumerate(scenarios)
+        )
     else:
         raise ConfigError("scenarios must be an object (shorthand) or a list of cells")
-
-    workers = doc.get("workers", 1)
-    _require(workers is not None, "workers must be a positive integer")  # null is not "auto"
-
-    output_path = doc.get("output_path")
-    if output_path is not None:
-        _require(isinstance(output_path, str) and output_path, "output_path must be a non-empty string")
-
-    recruitment = DEFAULT_RECRUITMENT
+    if doc.get("workers") == "auto":
+        settings["workers"] = max(os.cpu_count() or 1, 1)
     if "recruitment" in doc:
-        block = doc["recruitment"]
-        _require(isinstance(block, dict), "recruitment must be an object")
-        _check_keys(block, {"lambda0", "months", "rate_interpretation"}, "recruitment")
-        months = block.get("months", [])
-        _require(isinstance(months, list), "recruitment.months must be a list")
-        recruitment = RecruitmentPlan(
-            rates=tuple(
-                _as_number_list(block.get("lambda0", [2.0, 5.0, 10.0]), "recruitment.lambda0")
-            ),
-            months=tuple(_as_number(v, "recruitment.months") for v in months),
-            rate_interpretation=block.get("rate_interpretation", "total"),
-        )
-
-    return RunConfig(
-        cells=cells,
-        target_power=doc.get("target_power", 0.80),
-        threshold=doc.get("phi", 0.975),
-        replicates=doc.get("replicates", 10_000),
-        master_seed=doc.get("master_seed", DEFAULT_MASTER_SEED),
-        workers=None if workers == "auto" else workers,
-        output_path=output_path,
-        recruitment=recruitment,
-    )
+        settings["recruitment"] = _parse_recruitment(doc["recruitment"])
+    return RunConfig(**settings)

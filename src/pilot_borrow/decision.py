@@ -10,9 +10,7 @@ All rows with the same (m, a_y, b_y) read their values from one cumulative
 pmf; in the model those are the replicates that pair the same control
 component with the same treatment-component total. That grouping is the
 only sort of the rows: duplicate rows are not collapsed first, they read
-the same entry of their group's pmf. A row with a_x > b_x is
-reflected (p -> 1 - p, which gives 1 - P(K' <= b_x - 1) with K' ~
-BetaBinomial(m, b_y, a_y)), so the orientation is fixed by the row alone.
+the same entry of their group's pmf.
 
 Each group's pmf is built by the ratio recurrence
 
@@ -83,18 +81,11 @@ def exceedance_pairs(a_x, b_x, a_y, b_y) -> np.ndarray:
 # perfbench/spans.py wraps this name and counts the rows of each call, so
 # the name stays and exceedance_pairs calls it exactly once.
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
-    """P(X > Y) per row (a_x, b_x, a_y, b_y), reflected when a_x > b_x."""
+    """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y)."""
     if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
         raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
     a_x, b_x, a_y, b_y = rows.T
-    flip = a_x > b_x
-    cdf = _beta_binomial_cdf(
-        np.minimum(a_x, b_x) - 1.0,
-        a_x + b_x - 1.0,
-        np.where(flip, b_y, a_y),
-        np.where(flip, a_y, b_y),
-    )
-    return np.clip(np.where(flip, 1.0 - cdf, cdf), 0.0, 1.0)
+    return np.clip(_beta_binomial_cdf(a_x - 1.0, a_x + b_x - 1.0, a_y, b_y), 0.0, 1.0)
 
 
 def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:

@@ -11,7 +11,7 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .config import DEFAULT_RECRUITMENT, RecruitmentPlan, RunConfig
+from .config import RecruitmentPlan, RunConfig
 from .recruitment import RecruitmentModel, expected_duration, recruitment_probability
 from .simulate import SEARCH_N_HI, SEARCH_N_LO, DesignScenario, GridCell, find_min_sample_size
 
@@ -104,12 +104,11 @@ def run_grid(config: RunConfig) -> list[ResultRow]:
     then estimates power single-threaded, which keeps per-replicate streams
     (and therefore every number) independent of the schedule.
     """
-    workers = config.resolved_workers()
-    if workers > 1 and len(config.cells) > 1:
+    if config.workers > 1 and len(config.cells) > 1:
         tasks = [(cell, config, 1) for cell in config.cells]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_cell_task, tasks))
-    return [_cell_row(cell, config, workers) for cell in config.cells]
+    return [_cell_row(cell, config, config.workers) for cell in config.cells]
 
 
 def _format_number(value) -> str:
@@ -167,7 +166,7 @@ def _row_values(row: ResultRow, recruitment: RecruitmentPlan) -> list[str]:
 def emit_results(
     rows: list[ResultRow],
     path: str,
-    recruitment: RecruitmentPlan = DEFAULT_RECRUITMENT,
+    recruitment: RecruitmentPlan = RecruitmentPlan(),
 ) -> None:
     """Write rows as CSV (LF endings) and print a summary table.
 

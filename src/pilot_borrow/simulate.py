@@ -13,11 +13,11 @@ of (master_seed, n_total, replicate index), so results are bit-identical
 across runs, chunk layouts and any number of worker processes.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -413,14 +413,17 @@ def find_min_sample_size(
 ) -> SampleSizeResult:
     """Smallest even definitive total in [n_lo, n_hi] reaching the target power.
 
-    A geometric expansion around a normal-approximation guess brackets the
-    crossing, then bisection narrows it. Every probe uses the scenario's
-    master seed, but the stream key contains the probed total, so probes at
-    different totals draw independent replicates. The power reported for
-    the returned n comes from an independent verification seed. When even
-    n_hi falls short the result carries ``achieved=False`` instead of
-    silently truncating. With several workers and more than one chunk per
-    probe, one process pool serves every probe of the search.
+    One walk from a normal-approximation guess brackets the crossing between
+    a failing total ``lo_fail`` and a passing one ``hi_pass``: down by
+    ``_DOWN_FACTORS`` of the guess while probes pass, or up by ``_UP_FACTORS``
+    and then doubled factors while they fail; bisection narrows the bracket.
+    Every probe uses the scenario's master seed, but the stream key contains
+    the probed total, so probes at different totals draw independent
+    replicates. The power reported for the returned n comes from an
+    independent verification seed. When even n_hi falls short the result
+    carries ``achieved=False`` instead of silently truncating. With several
+    workers and more than one chunk per probe, one process pool serves every
+    probe of the search.
     """
     check_open_probability(target_power, "target_power")
     check_positive_int(workers, "workers")
@@ -432,68 +435,53 @@ def find_min_sample_size(
         raise ValueError(f"need n_lo < n_hi, got ({n_lo}, {n_hi})")
 
     shared = workers > 1 and scenario.replicates > _REPLICATE_CHUNK
+    powers: dict[int, PowerEstimate] = {}
     with ProcessPoolExecutor(max_workers=workers) if shared else nullcontext() as pool:
-        estimate = partial(estimate_power, workers=workers, pool=pool)
-        return _search(scenario, target_power, n_lo, n_hi, estimate)
 
+        def passes(n: int) -> bool:
+            # estimate_power by its module name: perfbench/spans.py rebinds it
+            if n not in powers:
+                powers[n] = estimate_power(scenario, n, workers=workers, pool=pool)
+            return powers[n].power >= target_power
 
-def _search(scenario, target_power, n_lo, n_hi, estimate) -> SampleSizeResult:
-    """The search of :func:`find_min_sample_size`; ``estimate(scenario, n)`` runs a probe."""
-    cache: dict[int, PowerEstimate] = {}
-
-    def probe(n: int) -> float:
-        if n not in cache:
-            cache[n] = estimate(scenario, n)
-        return cache[n].power
-
-    def result_for(n: int, achieved: bool) -> SampleSizeResult:
-        verification = estimate(replace(scenario, master_seed=_mix_seed(scenario.master_seed)), n)
-        probes = tuple(sorted((k, est.power) for k, est in cache.items()))
-        return SampleSizeResult(
-            n_total=n,
-            pilot_total=pilot_size(scenario.pilot_fraction, n),
-            power_at_n=verification,
-            achieved=achieved,
-            probes=probes,
-        )
-
-    start = _initial_probe(scenario, target_power, n_lo, n_hi)
-    if probe(start) >= target_power:
-        hi_pass = start
-        lo_fail = n_lo - 2  # virtual: nothing below n_lo is in range
-        for factor in _DOWN_FACTORS:
-            if hi_pass <= n_lo:
-                break
-            cand = min(_even_clip(start * factor, n_lo, n_hi), hi_pass - 2)
-            if probe(cand) >= target_power:
-                hi_pass = cand
-            else:
-                lo_fail = cand
-                break
-    else:
-        lo_fail = start
-        hi_pass = -1
-        cand = start
-        factor_iter = iter(_UP_FACTORS)
-        growth = _UP_FACTORS[-1]
-        while True:
-            if cand >= n_hi:
-                return result_for(n_hi, achieved=False)
-            factor = next(factor_iter, None)
-            if factor is None:
-                growth *= 2.0
-                factor = growth
-            cand = min(max(_even_clip(start * factor, n_lo, n_hi), cand + 2), n_hi)
-            if probe(cand) >= target_power:
-                hi_pass = cand
-                break
-            lo_fail = cand
-
-    while hi_pass - lo_fail > 2:
-        mid = (lo_fail + hi_pass) // 2
-        mid -= mid % 2
-        if probe(mid) >= target_power:
-            hi_pass = mid
+        start = _initial_probe(scenario, target_power, n_lo, n_hi)
+        lo_fail = hi_pass = start
+        achieved = True
+        if passes(start):
+            lo_fail = n_lo - 2  # virtual: nothing below n_lo is in range
+            for factor in _DOWN_FACTORS:
+                if hi_pass <= n_lo:
+                    break
+                n = min(_even_clip(start * factor, n_lo, n_hi), hi_pass - 2)
+                if not passes(n):
+                    lo_fail = n
+                    break
+                hi_pass = n
         else:
-            lo_fail = mid
-    return result_for(hi_pass, achieved=True)
+            # the factor table, then its last factor doubled again and again
+            factors = itertools.chain(
+                _UP_FACTORS, (_UP_FACTORS[-1] * 2.0**k for k in itertools.count(1))
+            )
+            while not passes(hi_pass):
+                lo_fail = hi_pass
+                if lo_fail >= n_hi:  # even n_hi falls short
+                    achieved = False
+                    break
+                hi_pass = min(max(_even_clip(start * next(factors), n_lo, n_hi), lo_fail + 2), n_hi)
+
+        while hi_pass - lo_fail > 2:
+            mid = (lo_fail + hi_pass) // 4 * 2  # the even total at or below the midpoint
+            if passes(mid):
+                hi_pass = mid
+            else:
+                lo_fail = mid
+        verify = replace(scenario, master_seed=_mix_seed(scenario.master_seed))
+        verification = estimate_power(verify, hi_pass, workers=workers, pool=pool)
+        probes = tuple(sorted((n, estimate.power) for n, estimate in powers.items()))
+    return SampleSizeResult(
+        n_total=hi_pass,
+        pilot_total=pilot_size(scenario.pilot_fraction, hi_pass),
+        power_at_n=verification,
+        achieved=achieved,
+        probes=probes,
+    )

@@ -90,6 +90,8 @@ REJECTED = [
     pytest.param(["conflict", *_CELL, "--workers", "0"], {}, 0, id="workers-conflict"),
     pytest.param(["grid", "--config", "{config}", "--replicates", "0"], {}, 0, id="grid-replicates"),
     pytest.param(["grid", "--config", "{config}", "--workers", "0"], {}, 0, id="grid-workers"),
+    pytest.param(["grid", "--config", "{config}", "--out", ""], {}, 0, id="grid-out-empty"),
+    pytest.param(["conflict", *_CELL, "--out", ""], {}, 0, id="conflict-out-empty"),
     pytest.param(
         ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers=-0.5,1.0"], {}, 0, id="multiplier"
     ),

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -118,8 +119,7 @@ class TestParseConfig:
     def test_workers_auto(self):
         text = json.dumps({"scenarios": {"p_C": [0.25], "rr": [1.7]}, "workers": "auto"})
         config = parse_config(text)
-        assert config.workers is None
-        assert config.resolved_workers() >= 1
+        assert config.workers == max(os.cpu_count() or 1, 1)
 
     def test_master_seed_validation(self):
         text = json.dumps({"scenarios": {"p_C": [0.25], "rr": [1.7]}, "master_seed": -1})
@@ -188,6 +188,9 @@ class TestParseConfig:
             ({"target_power": 1.5}, "target_power"),
             ({"target_power": float("nan")}, "target_power"),
             ({"threshold": 1.0}, "phi"),
+            ({"workers": None}, "workers"),
+            ({"output_path": ""}, "output_path"),
+            ({"output_path": 5}, "output_path"),
         ],
     )
     def test_run_settings_checked_where_a_run_config_is_built(self, settings, name):

@@ -359,6 +359,49 @@ class TestFindMinSampleSize:
         assert len(result.probes) > 1
         assert opened == [2]
 
+    @pytest.mark.parametrize(
+        "cell,search,n_total,successes",
+        [
+            pytest.param(
+                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.5, n_hi=400),
+                400, [(400, 121)], id="up-unreachable",
+            ),
+            pytest.param(
+                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.5), 582,
+                [(560, 145), (580, 149), (582, 158), (584, 155), (590, 175), (602, 168),
+                 (644, 172)],
+                id="up-within-factor-table",
+            ),
+            pytest.param(
+                dict(control_rate=0.25, risk_ratio=1.3, pilot_fraction=0.4,
+                     pilot_rr_multiplier=0.5, prior_weight=1.0),
+                dict(target_power=0.8), 5588,
+                [(1026, 64), (1180, 74), (1386, 90), (1692, 109), (2052, 108), (4104, 192),
+                 (5130, 231), (5386, 226), (5514, 238), (5578, 238), (5586, 238), (5588, 248),
+                 (5590, 245), (5594, 263), (5610, 246), (5642, 254), (6156, 247), (8208, 285)],
+                id="up-past-factor-table",
+            ),
+            pytest.param(
+                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.8), 1128,
+                [(992, 207), (1066, 226), (1102, 232), (1120, 230), (1124, 227), (1126, 236),
+                 (1128, 240), (1130, 244), (1140, 241)],
+                id="down-stops-at-failure",
+            ),
+            pytest.param(
+                dict(control_rate=0.25, risk_ratio=1.7), dict(target_power=0.5, n_lo=100, n_hi=400),
+                110, [(100, 137), (106, 142), (108, 137), (110, 153), (112, 159)],
+                id="down-to-n-lo",
+            ),
+        ],
+    )
+    def test_golden_walk(self, cell, search, n_total, successes):
+        """The probes of one search per branch of the walk, as (n, successes of 300)."""
+        scenario = DesignScenario(**cell, replicates=300, master_seed=314)
+        result = find_min_sample_size(scenario, **search)
+        assert result.n_total == n_total
+        assert result.achieved == (n_total != search.get("n_hi"))
+        assert result.probes == tuple((n, k / 300) for n, k in successes)
+
     def test_range_exhaustion_is_explicit(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=800, master_seed=314)
         result = find_min_sample_size(scenario, target_power=0.80, n_lo=2, n_hi=40)
