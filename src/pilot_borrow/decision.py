@@ -6,10 +6,10 @@ so X > Y exactly when fewer than a_x of them fall below Y, and
 
     P(X > Y) = P(K <= a_x - 1),    K ~ BetaBinomial(m, a_y, b_y).
 
-All rows with the same (m, a_y, b_y) read their values from one cumulative
-pmf; in the model those are the replicates that pair the same control
-component with the same treatment-component total. That grouping is the
-only sort of the rows: duplicate rows are not collapsed first, they read
+All rows of a call with the same (m, a_y, b_y) read their values from one
+cumulative pmf; in the model those are the replicates that pair the same
+control component with the same treatment-component total. That grouping is
+the only sort of the rows: duplicate rows are not collapsed first, they read
 the same entry of their group's pmf.
 
 Each group's pmf is built by the ratio recurrence
@@ -46,6 +46,9 @@ _MIN_SD = 4.0
 _TAIL_MASS = 1e-17
 # Most terms one (groups x terms) block holds, which bounds working memory.
 _BLOCK = 1 << 14
+# Most rows one call of the grouped CDF takes in the superiority sum, which
+# bounds the memory of its grouping.
+_CALL_ROWS = 1 << 14
 
 # Not used by the package: perfbench/spans.py wraps these two names for its
 # decision.nodes span, which records Gauss-Legendre table builds.
@@ -79,7 +82,7 @@ def exceedance_pairs(a_x, b_x, a_y, b_y) -> np.ndarray:
 
 
 # perfbench/spans.py wraps this name and counts the rows of each call, so
-# the name stays and exceedance_pairs calls it exactly once.
+# the name stays and callers look it up as a module global.
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
     """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y)."""
     if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
@@ -226,6 +229,17 @@ def _widen(edge, m, a, b, anchor, terms, total):
     return np.where(short, np.minimum(2 * terms + 1, limit).astype(np.int64), terms)
 
 
+def _first_equal(a, b) -> list[int]:
+    """Per mixture component (column), the first component with the same shapes in a and b."""
+    return [
+        next(
+            e for e in range(col + 1)
+            if np.array_equal(a[:, e], a[:, col]) and np.array_equal(b[:, e], b[:, col])
+        )
+        for col in range(a.shape[1])
+    ]
+
+
 def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     """Vectorized superiority probability for stacked two-arm posteriors.
 
@@ -233,16 +247,36 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     shapes for the treatment (t) and control (c) arm. P(p_T > p_C) is the
     double sum over component pairs of the product of the two weights and
     the pair's exact exceedance.
+
+    A pair whose four shape columns equal an earlier pair's reads that
+    pair's values (without a pilot the two components of an arm coincide).
+    The other pairs' rows go to the grouped CDF pair after pair, in as few
+    calls of whole pairs as keep each within _CALL_ROWS rows, the pairs
+    spread evenly over them, or one pair in slices of _CALL_ROWS rows when a
+    pair alone is larger. Pairs with different (m, a_y + b_y) share no
+    (m, a_y, b_y) group, and a row's value depends on its four shapes only,
+    so the split changes no value.
     """
     n, k_t = a_t.shape
     k_c = a_c.shape[1]
-    a_x = np.repeat(a_t, k_c, axis=1).reshape(-1)
-    b_x = np.repeat(b_t, k_c, axis=1).reshape(-1)
-    a_y = np.tile(a_c, (1, k_t)).reshape(-1)
-    b_y = np.tile(b_c, (1, k_t)).reshape(-1)
-    values = exceedance_pairs(a_x, b_x, a_y, b_y).reshape(n, k_t, k_c)
+    same_t, same_c = _first_equal(a_t, b_t), _first_equal(a_c, b_c)
+    pairs = [(i, j) for i in range(k_t) for j in range(k_c)]
+    distinct = [(i, j) for i, j in pairs if same_t[i] == i and same_c[j] == j]
+    values = {}
+    calls = -(-len(distinct) // max(1, _CALL_ROWS // max(n, 1)))
+    per_call = -(-len(distinct) // calls)
+    for first in range(0, len(distinct), per_call):
+        group = distinct[first : first + per_call]
+        t, c = (list(v) for v in zip(*group))
+        # (a_x, b_x, a_y, b_y) of the group's pairs, pair after pair
+        rows = np.column_stack(
+            [x[:, cols].T.reshape(-1) for x, cols in ((a_t, t), (b_t, t), (a_c, c), (b_c, c))]
+        )
+        found = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], _CALL_ROWS):
+            found[lo : lo + _CALL_ROWS] = _exceedance_unique(rows[lo : lo + _CALL_ROWS])
+        values.update(zip(group, found.reshape(len(group), n)))
     total = np.zeros(n, dtype=np.float64)
-    for i in range(k_t):
-        for j in range(k_c):
-            total += w_t[:, i] * w_c[:, j] * values[:, i, j]
+    for i, j in pairs:
+        total += w_t[:, i] * w_c[:, j] * values[same_t[i], same_c[j]]
     return np.clip(total, 0.0, 1.0)

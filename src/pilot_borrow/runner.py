@@ -100,13 +100,14 @@ def _cell_task(args) -> ResultRow:
 def run_grid(config: RunConfig) -> list[ResultRow]:
     """Execute every expanded cell; one row per cell, in config order.
 
-    With several workers the cells run in parallel processes; each search
-    then estimates power single-threaded, which keeps per-replicate streams
-    (and therefore every number) independent of the schedule.
+    With several workers the cells run in parallel processes, no more than
+    there are cells; each search then estimates power single-threaded, which
+    keeps per-replicate streams (and therefore every number) independent of
+    the schedule.
     """
     if config.workers > 1 and len(config.cells) > 1:
         tasks = [(cell, config, 1) for cell in config.cells]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             return list(pool.map(_cell_task, tasks))
     return [_cell_row(cell, config, config.workers) for cell in config.cells]
 

@@ -35,8 +35,12 @@ _SEED_MASK = (1 << 64) - 1
 _N_TOTAL_MAX = 1 << 62
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
 # Most replicates one chunk evaluates at once, which bounds its working
-# memory. Counts do not depend on how replicates are split into chunks.
-_REPLICATE_CHUNK = 4096
+# memory; a serial probe of no more replicates is one chunk. Counts do not
+# depend on how replicates are split into chunks.
+_REPLICATE_CHUNK = 1 << 15
+# Fewest replicates worth a pool worker: a probe runs on a pool only when it
+# has more than this, in no more equal shares than ceil(replicates / _POOL_SHARE).
+_POOL_SHARE = 4096
 # Replicates that share one Philox stream. Part of the stream layout, so
 # changing it changes every draw; chunks need not align to it.
 _DRAW_BLOCK = 256
@@ -204,7 +208,13 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     pilot arm draws 0 without consuming the stream. Every later step is
     elementwise, so a replicate's values do not depend on the range it runs
     in. Success is a superiority probability strictly above the threshold.
+    ``n_total`` is checked as in :func:`estimate_power`, and the range must
+    satisfy 0 <= start <= stop <= 2**64.
     """
+    _check_integer(n_total, "n_total")
+    # the block number of the last replicate fits a 64-bit Philox counter word
+    _check_integer(stop, "stop", 0, _SEED_MASK + 1)
+    _check_integer(start, "start", 0, stop)
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
     control_n, treatment_n = split_arms(n_total)
     sizes = (pilot_control_n, pilot_treatment_n, control_n, treatment_n)
@@ -218,6 +228,7 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
         rows = min(stop - block * _DRAW_BLOCK, _DRAW_BLOCK)
         blocks.append(np.random.Generator(bitgen).binomial(sizes, rates, size=(rows, 4)))
     y = np.concatenate(blocks)[start - first * _DRAW_BLOCK:]
+    del blocks  # not held through the superiority sum
 
     control = _posterior_components(
         scenario.prior_weight, y[:, 0], pilot_control_n, y[:, 2], control_n
@@ -238,8 +249,6 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
 
 def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> ReplicateBatch:
     """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
-    _check_integer(n_total, "n_total")
-    # the block number of the largest index fits a 64-bit Philox counter word
     _check_integer(index, "index", 0, _SEED_MASK)
     return simulate_batch(scenario, n_total, index, index + 1)
 
@@ -327,14 +336,16 @@ def _chunk_task(args) -> int:
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of near-equal size, at most ``_REPLICATE_CHUNK`` each.
+    """[lo, hi) ranges of near-equal size, none empty, at most ``_REPLICATE_CHUNK`` each.
 
-    With several workers and more than one chunk, the chunk count is a
-    multiple of the worker count, so every worker gets an equal share.
+    A chunk exists to give a pool worker its share: one worker takes all
+    ``total`` replicates as one chunk, and several take one share each, as
+    many shares as workers but no more than ceil(total / _POOL_SHARE). Only
+    when a share would pass ``_REPLICATE_CHUNK`` is it split, into the same
+    number of chunks for every share.
     """
-    k = -(-total // _REPLICATE_CHUNK)
-    if k > 1 and workers > 1:
-        k = -(-k // workers) * workers
+    shares = min(workers, -(-total // _POOL_SHARE))
+    k = -(-total // _REPLICATE_CHUNK // shares) * shares
     return [(total * i // k, total * (i + 1) // k) for i in range(k)]
 
 
@@ -345,16 +356,18 @@ def estimate_power(
 
     Each replicate's decision is a pure function of (master_seed, n_total,
     index), and the estimate sums those decisions, so it is bit-identical
-    for any worker count and chunk layout. With ``workers > 1`` the chunks
-    run on ``pool`` when one is given (a search passes the pool it keeps for
-    all its probes), otherwise on a pool opened for this call.
+    for any worker count and chunk layout. With ``workers > 1`` and more than
+    one chunk the chunks run on ``pool`` when one is given (a search passes
+    the pool it keeps for all its probes), otherwise on a pool opened for
+    this call with no more processes than chunks.
     """
     _check_integer(n_total, "n_total")
     check_positive_int(workers, "workers")
     total = scenario.replicates
     tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
     if workers > 1 and len(tasks) > 1:
-        owned = ProcessPoolExecutor(max_workers=workers) if pool is None else nullcontext(pool)
+        size = min(workers, len(tasks))
+        owned = ProcessPoolExecutor(max_workers=size) if pool is None else nullcontext(pool)
         with owned as running:
             successes = sum(running.map(_chunk_task, tasks))
     else:
@@ -422,8 +435,8 @@ def find_min_sample_size(
     replicates. The power reported for the returned n comes from an
     independent verification seed. When even n_hi falls short the result
     carries ``achieved=False`` instead of silently truncating. With several
-    workers and more than one chunk per probe, one process pool serves every
-    probe of the search.
+    workers and more than one chunk per probe, one process pool, with no more
+    processes than a probe has chunks, serves every probe of the search.
     """
     check_open_probability(target_power, "target_power")
     check_positive_int(workers, "workers")
@@ -434,9 +447,10 @@ def find_min_sample_size(
     if n_lo >= n_hi:
         raise ValueError(f"need n_lo < n_hi, got ({n_lo}, {n_hi})")
 
-    shared = workers > 1 and scenario.replicates > _REPLICATE_CHUNK
+    chunks = len(_chunk_bounds(scenario.replicates, workers))
+    shared = workers > 1 and chunks > 1
     powers: dict[int, PowerEstimate] = {}
-    with ProcessPoolExecutor(max_workers=workers) if shared else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, chunks)) if shared else nullcontext() as pool:
 
         def passes(n: int) -> bool:
             # estimate_power by its module name: perfbench/spans.py rebinds it

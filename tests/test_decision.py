@@ -8,7 +8,12 @@ from pilot_borrow.decision import (
     exceedance_pairs,
     mixture_superiority_batch,
 )
-from pilot_borrow.simulate import DesignScenario, _posterior_components, trace_replicate
+from pilot_borrow.simulate import (
+    DesignScenario,
+    _posterior_components,
+    simulate_batch,
+    trace_replicate,
+)
 
 from oracles import (
     beta_exceedance_window,
@@ -311,3 +316,62 @@ class TestRowDedup:
         rows[[1, 4], 2] = shape
         with pytest.raises(ValueError):
             exceedance_pairs(*rows.T)
+
+
+def one_call_superiority(w_t, a_t, b_t, w_c, a_c, b_c):
+    """The superiority sum with the rows of every component pair in one call."""
+    n, k_t = a_t.shape
+    k_c = a_c.shape[1]
+    values = exceedance_pairs(
+        np.repeat(a_t, k_c, axis=1).reshape(-1),
+        np.repeat(b_t, k_c, axis=1).reshape(-1),
+        np.tile(a_c, (1, k_t)).reshape(-1),
+        np.tile(b_c, (1, k_t)).reshape(-1),
+    ).reshape(n, k_t, k_c)
+    total = np.zeros(n)
+    for i in range(k_t):
+        for j in range(k_c):
+            total += w_t[:, i] * w_c[:, j] * values[:, i, j]
+    return np.clip(total, 0.0, 1.0)
+
+
+class TestPairCalls:
+    """Pairs go to the grouped CDF in calls of at most _CALL_ROWS rows, and a
+    pair equal to an earlier one is evaluated once; no value moves."""
+
+    @pytest.mark.parametrize("replicates", [200, 5_000, 10_000, 20_000])
+    @pytest.mark.parametrize(
+        "pilot_fraction,n_total,distinct",
+        [
+            pytest.param(0.0, 400, 1, id="no-pilot"),
+            pytest.param(0.2, 400, 4, id="pilot"),
+            # a pilot of one participant leaves the treatment pilot arm empty
+            pytest.param(0.01, 100, 2, id="one-participant-pilot"),
+        ],
+    )
+    def test_bit_identical_to_one_call(
+        self, monkeypatch, replicates, pilot_fraction, n_total, distinct
+    ):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=pilot_fraction,
+            replicates=replicates, master_seed=811,
+        )
+        batch = simulate_batch(scenario, n_total, 0, replicates)
+        reference = one_call_superiority(*batch.treatment, *batch.control)
+        calls = []
+        exceedance_unique = decision._exceedance_unique
+
+        def counted(rows):
+            calls.append(rows.shape[0])
+            return exceedance_unique(rows)
+
+        monkeypatch.setattr(decision, "_exceedance_unique", counted)
+        superiority = mixture_superiority_batch(*batch.treatment, *batch.control)
+        assert np.array_equal(superiority, reference)
+        assert np.array_equal(superiority, batch.superiority)
+        assert sum(calls) == distinct * replicates
+        assert max(calls) <= decision._CALL_ROWS
+        if replicates <= decision._CALL_ROWS:  # whole pairs, as many as fit in a call
+            assert len(calls) == -(-distinct // (decision._CALL_ROWS // replicates))
+        else:  # each pair in slices
+            assert len(calls) == distinct * -(-replicates // decision._CALL_ROWS)

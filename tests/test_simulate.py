@@ -1,13 +1,16 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pilot_borrow import simulate
+from pilot_borrow import decision, runner, simulate
+from pilot_borrow.config import parse_config
 from pilot_borrow.decision import exceedance_pairs
 from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
+    _POOL_SHARE,
     _REPLICATE_CHUNK,
     DesignScenario,
     GridCell,
@@ -127,6 +130,14 @@ class TestDesignScenario:
             (lambda s: trace_replicate(s, (1 << 64) + 2, 0), "n_total"),
             (lambda s: trace_replicate(s, 40, 1 << 64), "index"),
             (lambda s: trace_replicate(s, 40, 1.0), "index"),
+            (lambda s: simulate_batch(s, 206, -3, 2), "start"),
+            (lambda s: simulate_batch(s, 206, 5, 3), "start"),
+            (lambda s: simulate_batch(s, 206, 0.0, 3), "start"),
+            (lambda s: simulate_batch(s, 206, 0, (1 << 64) + 1), "stop"),
+            (lambda s: simulate_batch(s, 206, 0, -1), "stop"),
+            (lambda s: simulate_batch(s, 206, 0, True), "stop"),
+            (lambda s: simulate_batch(s, 206.0, 0, 2), "n_total"),
+            (lambda s: simulate_batch(s, 1, 0, 2), "n_total"),
         ],
     )
     def test_simulation_arguments_are_checked_by_type_and_range(self, call, name):
@@ -276,15 +287,56 @@ class TestEstimatePower:
             chunks = [simulate_batch(scenario, 40, lo, hi).success for lo, hi in bounds]
             assert np.array_equal(np.concatenate(chunks), full), f"workers={workers}"
 
-    def test_chunks_are_balanced(self):
-        for replicates in (1, 4095, 4096, 4097, 8193, 10_000, 40_000):
-            for workers in (1, 2, 3):
-                bounds = _chunk_bounds(replicates, workers)
-                assert bounds[0][0] == 0 and bounds[-1][1] == replicates
-                assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-                sizes = [hi - lo for lo, hi in bounds]
-                assert max(sizes) <= _REPLICATE_CHUNK and max(sizes) - min(sizes) <= 1
-                assert len(bounds) == 1 or len(bounds) % workers == 0, (replicates, workers)
+    @pytest.mark.parametrize(
+        "replicates,workers,chunks",
+        [
+            (1, 1, 1), (1, 5000, 1), (4096, 2, 1), (4097, 2, 2), (4097, 3, 2),
+            (10_000, 1, 1), (10_000, 2, 2), (10_000, 3, 3), (10_000, 5000, 3),
+            (40_000, 1, 2), (40_000, 2, 2), (40_000, 3, 3), (100_000, 2, 4), (100_000, 3, 6),
+        ],
+    )
+    def test_chunks_are_balanced(self, replicates, workers, chunks):
+        """One chunk when serial; with workers, one equal share each, no share
+        empty and no more shares than ceil(replicates / _POOL_SHARE). Only a
+        share above _REPLICATE_CHUNK is split, equally for every worker."""
+        bounds = _chunk_bounds(replicates, workers)
+        assert len(bounds) == chunks
+        assert bounds[0][0] == 0 and bounds[-1][1] == replicates
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= _REPLICATE_CHUNK
+        if workers > 1:
+            assert chunks <= -(-replicates // _POOL_SHARE)
+            assert chunks <= workers or chunks % workers == 0
+
+    def test_serial_probe_builds_each_group_once(self, monkeypatch):
+        """A serial 10,000-replicate probe passes each (m, a, b) group of its
+        superiority sum to _window_block once, in one batch."""
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.3, pilot_fraction=0.2, replicates=10_000,
+            master_seed=79,
+        )
+        batch = simulate_batch(scenario, 2000, 0, scenario.replicates)
+        (_, a_t, b_t), (_, a_c, b_c) = batch.treatment, batch.control
+        expected = {
+            (a_t[r, i] + b_t[r, i] - 1.0, a_c[r, j], b_c[r, j])
+            for r in range(scenario.replicates)
+            for i in range(2)
+            for j in range(2)
+        }
+        built = []
+        window_block = decision._window_block
+
+        def counted(m, a, b, *rest):
+            built.extend(zip(m.tolist(), a.tolist(), b.tolist()))
+            return window_block(m, a, b, *rest)
+
+        monkeypatch.setattr(decision, "_window_block", counted)
+        estimate = estimate_power(scenario, 2000)
+        assert round(estimate.power * scenario.replicates) == np.count_nonzero(batch.success)
+        assert len(built) == len(set(built))
+        assert set(built) == expected
 
     def test_standard_error_formula(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
@@ -353,11 +405,12 @@ class TestFindMinSampleSize:
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
         scenario = DesignScenario(
-            control_rate=0.25, risk_ratio=2.4, replicates=_REPLICATE_CHUNK + 1, master_seed=316
+            control_rate=0.25, risk_ratio=2.4, replicates=_POOL_SHARE + 1, master_seed=316
         )
         result = find_min_sample_size(scenario, target_power=0.80, workers=2)
         assert len(result.probes) > 1
         assert opened == [2]
+
 
     @pytest.mark.parametrize(
         "cell,search,n_total,successes",
@@ -422,6 +475,58 @@ class TestFindMinSampleSize:
             find_min_sample_size(scenario, n_lo=3, n_hi=100)
         with pytest.raises(ValueError):
             find_min_sample_size(scenario, n_lo=100, n_hi=100)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The max_workers of each pool opened; the pools run their tasks in this
+    process and start no process."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    return opened
+
+
+class TestPoolSize:
+    """No pool asks for more processes than it has tasks."""
+
+    def test_probe(self, recording_pool):
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=10_000)
+        serial = estimate_power(scenario, 40)
+        assert estimate_power(scenario, 40, workers=5000) == serial
+        assert recording_pool == [3]
+
+    def test_search(self, recording_pool):
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=2.4, replicates=_POOL_SHARE + 1, master_seed=316
+        )
+        result = find_min_sample_size(scenario, target_power=0.80, workers=5000)
+        assert len(result.probes) > 1
+        assert recording_pool == [2]
+
+    def test_grid(self, recording_pool):
+        doc = {
+            "scenarios": {"p_C": [0.3], "rr": [2.2], "pilot_fraction": [0, 0.2, 0.4]},
+            "replicates": 200,
+            "workers": 5000,
+        }
+        rows = runner.run_grid(parse_config(json.dumps(doc)))
+        assert len(rows) == 3
+        assert recording_pool == [3]
 
 
 class TestAcceptedDomain:
