@@ -9,6 +9,7 @@ from pilot_borrow.runner import (
     STATUS_INFEASIBLE,
     STATUS_OK,
     STATUS_UNREACHABLE,
+    ResultRow,
     csv_header,
     emit_results,
     run_grid,
@@ -197,3 +198,48 @@ class TestEmitResults:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == len(rows) + 1
         assert "n_total" in out
+
+    def test_golden_rows(self, tmp_path, capsys):
+        # One row per status, written byte for byte: the infeasible row keeps
+        # every search and recruitment field empty, and the unreachable row
+        # carries the top of the search range with the power reached there.
+        plan = RecruitmentPlan(rates=(5.0, 10.0), months=(24.0,))
+        rows = [
+            ResultRow(
+                control_rate=0.25, risk_ratio=1.7, pilot_rr_multiplier=1.0,
+                pilot_fraction=0.2, n_total=206, pilot_total=41,
+                power=0.80123456789, power_se=0.0039893, replicates=10_000,
+                durations=(41.2, 20.6), recruit_probs=(1.5e-07, 0.999999999912),
+                status=STATUS_OK, seed=12345,
+            ),
+            ResultRow(
+                control_rate=0.3, risk_ratio=1.05, pilot_rr_multiplier=0.8,
+                pilot_fraction=0.0, n_total=20_000, pilot_total=0,
+                power=0.61, power_se=0.0048773, replicates=10_000,
+                durations=(4000.0, 2000.0), recruit_probs=(0.0, 1.2e-300),
+                status=STATUS_UNREACHABLE, seed=12345,
+            ),
+            ResultRow(
+                control_rate=0.6, risk_ratio=1.9, pilot_rr_multiplier=1.0,
+                pilot_fraction=0.4, replicates=10_000,
+                status=STATUS_INFEASIBLE, seed=12345,
+            ),
+        ]
+        path = tmp_path / "golden.csv"
+        emit_results(rows, str(path), recruitment=plan)
+        assert path.read_bytes() == (
+            b"p_C,rr,rr_pilot_multiplier,pilot_fraction,n_total,pilot_total,power,power_se,"
+            b"replicates,duration_rate5,duration_rate10,recruit_prob_rate5_m24,"
+            b"recruit_prob_rate10_m24,status,seed\n"
+            b"0.25,1.7,1,0.2,206,41,0.8012345679,0.0039893,10000,41.2,20.6,1.5e-07,"
+            b"0.9999999999,ok,12345\n"
+            b"0.3,1.05,0.8,0,20000,0,0.61,0.0048773,10000,4000,2000,0,1.2e-300,"
+            b"unreachable,12345\n"
+            b"0.6,1.9,1,0.4,,,,,10000,,,,,infeasible,12345\n"
+        )
+        assert capsys.readouterr().out == (
+            "   p_C    rr     c     f  n_total  pilot   power      se       status\n"
+            "  0.25   1.7     1   0.2      206     41  0.8012  0.0040           ok\n"
+            "   0.3  1.05   0.8     0    20000      0  0.6100  0.0049  unreachable\n"
+            "   0.6   1.9     1   0.4        -      -       -       -   infeasible\n"
+        )
