@@ -65,26 +65,17 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def exceedance_pairs(a_x, b_x, a_y, b_y) -> np.ndarray:
-    """P(X_i > Y_i) for arrays of independent Beta pairs with integer shapes.
-
-    Duplicate pairs are not collapsed: they fall into the same (m, a, b)
-    group and read the same entry of its pmf, so the value of a pair never
-    depends on its multiplicity or on the other pairs of the call.
-    """
-    rows = np.column_stack(
-        [
-            np.atleast_1d(np.asarray(v, dtype=np.float64))
-            for v in (a_x, b_x, a_y, b_y)
-        ]
-    )
-    return _exceedance_unique(rows)
-
-
 # perfbench/spans.py wraps this name and counts the rows of each call, so
-# the name stays and callers look it up as a module global.
+# the name stays (it predates the removal of the row dedup) and callers look
+# it up as a module global.
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
-    """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y)."""
+    """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y) of an (N, 4) array.
+
+    The one entry to the exact sum. Rows need not be distinct: equal rows
+    fall into the same (m, a, b) group and read the same entry of its pmf,
+    so a row's value never depends on its multiplicity or on the other rows
+    of the call.
+    """
     if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
         raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
     a_x, b_x, a_y, b_y = rows.T

@@ -9,7 +9,8 @@ byte-identical CSV files.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import product
 
 from .config import RecruitmentPlan, RunConfig
 from .recruitment import RecruitmentModel, expected_duration, recruitment_probability
@@ -40,23 +41,20 @@ class ResultRow:
 
 
 def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
-    if not cell.feasible:
-        return ResultRow(
-            control_rate=cell.control_rate,
-            risk_ratio=cell.risk_ratio,
-            pilot_rr_multiplier=cell.pilot_rr_multiplier,
-            pilot_fraction=cell.pilot_fraction,
-            replicates=config.replicates,
-            status=STATUS_INFEASIBLE,
-            seed=config.master_seed,
-        )
-
-    scenario = DesignScenario(
+    # the fields that an infeasible row and a searched row share
+    shared = dict(
         control_rate=cell.control_rate,
         risk_ratio=cell.risk_ratio,
-        pilot_fraction=cell.pilot_fraction,
         pilot_rr_multiplier=cell.pilot_rr_multiplier,
-        prior_weight=cell.prior_weight,
+        pilot_fraction=cell.pilot_fraction,
+        replicates=config.replicates,
+        seed=config.master_seed,
+    )
+    if not cell.feasible:
+        return ResultRow(**shared, status=STATUS_INFEASIBLE)
+
+    scenario = DesignScenario(
+        **{field.name: getattr(cell, field.name) for field in fields(GridCell)},
         threshold=config.threshold,
         replicates=config.replicates,
         master_seed=config.master_seed,
@@ -70,26 +68,19 @@ def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
     )
     plan = config.recruitment
     target_n = plan.target_n(result.n_total)
-    durations = tuple(expected_duration(target_n, rate) for rate in plan.rates)
-    recruit_probs = tuple(
-        recruitment_probability(RecruitmentModel(rate), target_n, m)
-        for rate in plan.rates
-        for m in plan.months
-    )
     return ResultRow(
-        control_rate=cell.control_rate,
-        risk_ratio=cell.risk_ratio,
-        pilot_rr_multiplier=cell.pilot_rr_multiplier,
-        pilot_fraction=cell.pilot_fraction,
+        **shared,
         n_total=result.n_total,
         pilot_total=result.pilot_total,
         power=result.power_at_n.power,
         power_se=result.power_at_n.standard_error,
-        replicates=config.replicates,
-        durations=durations,
-        recruit_probs=recruit_probs,
+        durations=tuple(expected_duration(target_n, rate) for rate in plan.rates),
+        recruit_probs=tuple(
+            recruitment_probability(RecruitmentModel(rate), target_n, m)
+            for rate in plan.rates
+            for m in plan.months
+        ),
         status=STATUS_OK if result.achieved else STATUS_UNREACHABLE,
-        seed=config.master_seed,
     )
 
 
@@ -115,52 +106,46 @@ def run_grid(config: RunConfig) -> list[ResultRow]:
 def _format_number(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return format(value, ".10g")
 
 
+def _columns(recruitment: RecruitmentPlan) -> dict[str, tuple[str, int | None]]:
+    """Each CSV column, in order, with the ResultRow field it reads and, for a
+    tuple field, the index into it (a row without the tuple leaves it empty)."""
+    rates, months = recruitment.rates, recruitment.months
+    return {
+        "p_C": ("control_rate", None),
+        "rr": ("risk_ratio", None),
+        "rr_pilot_multiplier": ("pilot_rr_multiplier", None),
+        **{
+            name: (name, None)
+            for name in (
+                "pilot_fraction", "n_total", "pilot_total", "power", "power_se", "replicates"
+            )
+        },
+        **{f"duration_rate{rate:g}": ("durations", i) for i, rate in enumerate(rates)},
+        **{
+            f"recruit_prob_rate{rate:g}_m{m:g}": ("recruit_probs", i)
+            for i, (rate, m) in enumerate(product(rates, months))
+        },
+        "status": ("status", None),
+        "seed": ("seed", None),
+    }
+
+
 def csv_header(recruitment: RecruitmentPlan) -> list[str]:
-    columns = [
-        "p_C",
-        "rr",
-        "rr_pilot_multiplier",
-        "pilot_fraction",
-        "n_total",
-        "pilot_total",
-        "power",
-        "power_se",
-        "replicates",
-    ]
-    columns += [f"duration_rate{rate:g}" for rate in recruitment.rates]
-    columns += [
-        f"recruit_prob_rate{rate:g}_m{m:g}"
-        for rate in recruitment.rates
-        for m in recruitment.months
-    ]
-    columns += ["status", "seed"]
-    return columns
+    return list(_columns(recruitment))
 
 
 def _row_values(row: ResultRow, recruitment: RecruitmentPlan) -> list[str]:
-    values = [
-        _format_number(row.control_rate),
-        _format_number(row.risk_ratio),
-        _format_number(row.pilot_rr_multiplier),
-        _format_number(row.pilot_fraction),
-        _format_number(row.n_total),
-        _format_number(row.pilot_total),
-        _format_number(row.power),
-        _format_number(row.power_se),
-        _format_number(row.replicates),
-    ]
-    n_duration = len(recruitment.rates)
-    n_recruit = len(recruitment.rates) * len(recruitment.months)
-    durations = row.durations if row.durations else (None,) * n_duration
-    recruit_probs = row.recruit_probs if row.recruit_probs else (None,) * n_recruit
-    values += [_format_number(v) for v in durations]
-    values += [_format_number(v) for v in recruit_probs]
-    values += [row.status, _format_number(row.seed)]
+    values = []
+    for field, index in _columns(recruitment).values():
+        value = getattr(row, field)
+        if index is not None:
+            value = value[index] if value else None
+        values.append(_format_number(value))
     return values
 
 

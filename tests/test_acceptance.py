@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from pilot_borrow.config import parse_config
-from pilot_borrow.decision import exceedance_pairs, mixture_superiority_batch
+from pilot_borrow.decision import _exceedance_unique, mixture_superiority_batch
 from pilot_borrow.recruitment import (
     RecruitmentModel,
     expected_duration,
@@ -421,7 +421,7 @@ def test_pair_exceedance_matches_sampling_at_scale():
         t = (1.0 + y1, 1.0 + n1 - y1)
         c = (1.0 + y2, 1.0 + n2 - y2)
         estimate, se = exceedance_mc(*t, *c, 10_000_000, 30_000 + k)
-        value = exceedance_pairs([t[0]], [t[1]], [c[0]], [c[1]])[0]
+        value = _exceedance_unique(np.array([[*t, *c]]))[0]
         assert abs(value - estimate) <= max(4 * se, 1e-6), (
             f"pair {k} (Beta{t} vs Beta{c}): exact sum {value!r} vs sampled {estimate!r} "
             f"beyond 4 oracle SE {4 * se:.2e}"

@@ -5,7 +5,6 @@ from pilot_borrow import decision
 from pilot_borrow.decision import (
     _beta_binomial_cdf,
     _exceedance_unique,
-    exceedance_pairs,
     mixture_superiority_batch,
 )
 from pilot_borrow.simulate import (
@@ -40,7 +39,7 @@ def superiority(t, c) -> float:
 
 
 def exceedance(a1, b1, a2, b2) -> float:
-    return float(exceedance_pairs([a1], [b1], [a2], [b2])[0])
+    return float(_exceedance_unique(np.array([[a1, b1, a2, b2]], dtype=np.float64))[0])
 
 
 class TestDecide:
@@ -194,7 +193,7 @@ class TestExactSum:
     def test_against_oracles_up_to_arm_size_ten_thousand(self, seed):
         rows = random_count_rows(np.random.default_rng(700 + seed), 60)
         rows[0] = (2501, 7501, 2401, 7601)  # both arms of n = 20000, p near 0.25
-        values = exceedance_pairs(*rows.T)
+        values = _exceedance_unique(rows)
         window = beta_exceedance_window(*rows.T)
         closed = np.array([exceedance_integer_shapes(*map(int, row)) for row in rows])
         assert np.max(np.abs(values - window)) <= 1e-9
@@ -203,8 +202,8 @@ class TestExactSum:
     def test_swapping_the_pair_gives_the_complement(self):
         rng = np.random.default_rng(711)
         rows = np.vstack([random_count_rows(rng, 500), heavy_tailed_rows(rng, 500)])
-        forward = exceedance_pairs(*rows.T)
-        backward = exceedance_pairs(rows[:, 2], rows[:, 3], rows[:, 0], rows[:, 1])
+        forward = _exceedance_unique(rows)
+        backward = _exceedance_unique(rows[:, [2, 3, 0, 1]])
         assert np.max(np.abs(forward + backward - 1.0)) <= 1e-12
 
     def test_all_four_forms_agree(self):
@@ -225,27 +224,27 @@ class TestExactSum:
         rng = np.random.default_rng(727)
         rows = np.vstack([random_count_rows(rng, 300), heavy_tailed_rows(rng, 300)])
         rows[0] = (2501, 7501, 2401, 7601)
-        expected = exceedance_pairs(*rows.T)
+        expected = _exceedance_unique(rows)
         monkeypatch.setattr(decision, "_WINDOW_SD", 1.0)
         monkeypatch.setattr(decision, "_SKEW_SD", 0.0)
         monkeypatch.setattr(decision, "_MIN_SD", 1.0)
-        assert np.max(np.abs(exceedance_pairs(*rows.T) - expected)) <= 1e-13
+        assert np.max(np.abs(_exceedance_unique(rows) - expected)) <= 1e-13
         for row in rows[:8]:
             assert exceedance(*row) == pytest.approx(exceedance_decimal(*map(int, row)), abs=1e-12)
 
     def test_value_does_not_depend_on_the_batch(self):
         rng = np.random.default_rng(717)
         rows = random_count_rows(rng, 10_000, max_arm=3000)
-        values = exceedance_pairs(*rows.T)
+        values = _exceedance_unique(rows)
         perm = rng.permutation(rows.shape[0])
-        assert np.array_equal(exceedance_pairs(*rows[perm].T), values[perm])
+        assert np.array_equal(_exceedance_unique(rows[perm]), values[perm])
         for k in range(0, rows.shape[0], 499):
             assert exceedance(*rows[k]) == values[k]
 
     @pytest.mark.parametrize("shape", [2.5, 0.5, np.nan, np.inf])
     def test_rejects_shapes_that_are_not_positive_integers(self, shape):
         with pytest.raises(ValueError):
-            exceedance_pairs([shape], [3.0], [2.0], [4.0])
+            _exceedance_unique(np.array([[shape, 3.0, 2.0, 4.0]]))
 
     def test_raw_sums_stay_within_the_unit_interval(self):
         # Every form is a probability: a running sum of nonnegative terms
@@ -267,11 +266,11 @@ class TestExactSum:
         rows = np.vstack([random_count_rows(rng, 40), heavy_tailed_rows(rng, 20)])
         rows[0] = (2501, 7501, 2401, 7601)  # both arms of n = 20000, p near 0.25
         expected = np.array([exceedance_decimal(*map(int, row)) for row in rows])
-        assert np.max(np.abs(exceedance_pairs(*rows.T) - expected)) <= 1e-12
+        assert np.max(np.abs(_exceedance_unique(rows) - expected)) <= 1e-12
 
 
 def unique_rows_reference(rows):
-    """exceedance_pairs with duplicate rows collapsed by np.unique(axis=0)."""
+    """The exact sum with duplicate rows collapsed by np.unique(axis=0) first."""
     unique, inverse = np.unique(rows, axis=0, return_inverse=True)
     return _exceedance_unique(unique)[inverse.reshape(-1)]
 
@@ -284,7 +283,7 @@ def with_duplicates(rng, rows, duplicates):
 
 class TestRowDedup:
     def check_against_reference(self, rows):
-        values = exceedance_pairs(*rows.T)
+        values = _exceedance_unique(rows)
         assert values.tobytes() == unique_rows_reference(rows).tobytes()
 
     def test_matches_np_unique_on_count_rows(self):
@@ -307,7 +306,7 @@ class TestRowDedup:
         self.check_against_reference(rows)
 
     def test_empty_input(self):
-        values = exceedance_pairs([], [], [], [])
+        values = _exceedance_unique(np.empty((0, 4)))
         assert values.shape == (0,) and values.dtype == np.float64
 
     @pytest.mark.parametrize("shape", [np.nan, np.inf, 2.5])
@@ -315,19 +314,22 @@ class TestRowDedup:
         rows = np.tile([3.0, 4.0, 2.0, 5.0], (6, 1))
         rows[[1, 4], 2] = shape
         with pytest.raises(ValueError):
-            exceedance_pairs(*rows.T)
+            _exceedance_unique(rows)
 
 
 def one_call_superiority(w_t, a_t, b_t, w_c, a_c, b_c):
     """The superiority sum with the rows of every component pair in one call."""
     n, k_t = a_t.shape
     k_c = a_c.shape[1]
-    values = exceedance_pairs(
-        np.repeat(a_t, k_c, axis=1).reshape(-1),
-        np.repeat(b_t, k_c, axis=1).reshape(-1),
-        np.tile(a_c, (1, k_t)).reshape(-1),
-        np.tile(b_c, (1, k_t)).reshape(-1),
-    ).reshape(n, k_t, k_c)
+    rows = np.column_stack(
+        [
+            np.repeat(a_t, k_c, axis=1).reshape(-1),
+            np.repeat(b_t, k_c, axis=1).reshape(-1),
+            np.tile(a_c, (1, k_t)).reshape(-1),
+            np.tile(b_c, (1, k_t)).reshape(-1),
+        ]
+    )
+    values = _exceedance_unique(rows).reshape(n, k_t, k_c)
     total = np.zeros(n)
     for i in range(k_t):
         for j in range(k_c):

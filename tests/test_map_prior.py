@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from pilot_borrow.decision import exceedance_pairs
+from pilot_borrow.decision import _exceedance_unique
 from pilot_borrow.simulate import DesignScenario, _posterior_components
 
 from oracles import mixture_mean_quad, updated_weight_quad
@@ -34,9 +34,9 @@ class TestTypes:
     def test_beta_params_validation(self):
         # shapes are checked where they are used, by the exact exceedance sum
         with pytest.raises(ValueError):
-            exceedance_pairs(0.0, 1.0, 2.0, 2.0)
+            _exceedance_unique(np.array([[0.0, 1.0, 2.0, 2.0]]))
         with pytest.raises(ValueError):
-            exceedance_pairs(1.0, -2.0, 2.0, 2.0)
+            _exceedance_unique(np.array([[1.0, -2.0, 2.0, 2.0]]))
 
 
 class TestBuildRobustMap:

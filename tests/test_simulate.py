@@ -7,7 +7,7 @@ import pytest
 
 from pilot_borrow import decision, runner, simulate
 from pilot_borrow.config import parse_config
-from pilot_borrow.decision import exceedance_pairs
+from pilot_borrow.decision import _exceedance_unique
 from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
     _POOL_SHARE,
@@ -49,7 +49,8 @@ def single_component_decisions(scenario, n_total, informative: bool) -> np.ndarr
     if informative:
         y_c, y_t = y_c + y[:, 0], y_t + y[:, 1]
         n_c, n_t = n_c + pilot_c, n_t + pilot_t
-    prob = exceedance_pairs(1 + y_t, 1 + n_t - y_t, 1 + y_c, 1 + n_c - y_c)
+    rows = np.column_stack([1 + y_t, 1 + n_t - y_t, 1 + y_c, 1 + n_c - y_c])
+    prob = _exceedance_unique(rows.astype(np.float64))
     return prob > scenario.threshold
 
 
