@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -338,6 +339,47 @@ class TestEstimatePower:
         assert round(estimate.power * scenario.replicates) == np.count_nonzero(batch.success)
         assert len(built) == len(set(built))
         assert set(built) == expected
+
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize(
+        "cell,n_total,replicates,digest",
+        [
+            # no pilot: the two components of an arm coincide, one distinct pair
+            (
+                (0.25, 1.3, 0.0), 1130, 10_000,
+                "e9239e6d9a2f082b0e7b7962eb8a12310e95f335b7d9bef6717c5077aa0971c3",
+            ),
+            # a pool share: two pairs per call of the grouped CDF
+            (
+                (0.06, 1.9, 0.2), 730, 5_000,
+                "7ab67f2d5b14d5a25912a8b9970b1d61b8a924674647236fa8c980cbe1017edd",
+            ),
+            # shapes near 10^4: 1,132 groups over 93 blocks
+            (
+                (0.25, 1.05, 0.2), 20_000, 10_000,
+                "56ca62ff986cb7460cd2bdd1f3cdd402b2611710661a89738f3453f8c13b84a4",
+            ),
+            # every distinct pair in one call
+            (
+                (0.25, 1.7, 0.2), 206, 200,
+                "e707676818005a9ae9b945ea6aff05005f8822c41da1a6e694426ddc03f33abb",
+            ),
+        ],
+    )
+    def test_golden_superiority_bits(self, monkeypatch, cell, n_total, replicates, digest, narrow):
+        """The superiority values of four batches keep their bits. First
+        windows of one standard deviation, widened by the tail check until it
+        holds, give the same bits."""
+        if narrow:
+            monkeypatch.setattr(decision, "_WINDOW_SD", 1.0)
+            monkeypatch.setattr(decision, "_SKEW_SD", 0.0)
+            monkeypatch.setattr(decision, "_MIN_SD", 1.0)
+        p_c, rr, f = cell
+        scenario = DesignScenario(
+            control_rate=p_c, risk_ratio=rr, pilot_fraction=f, replicates=replicates, master_seed=4
+        )
+        batch = simulate_batch(scenario, n_total, 0, replicates)
+        assert hashlib.sha256(batch.superiority.tobytes()).hexdigest() == digest
 
     def test_standard_error_formula(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
