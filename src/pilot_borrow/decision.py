@@ -6,11 +6,11 @@ so X > Y exactly when fewer than a_x of them fall below Y, and
 
     P(X > Y) = P(K <= a_x - 1),    K ~ BetaBinomial(m, a_y, b_y).
 
-All rows of a call with the same (m, a_y, b_y) read their values from one
-cumulative pmf; in the model those are the replicates that pair the same
-control component with the same treatment-component total. That grouping is
-the only sort of the rows: duplicate rows are not collapsed first, they read
-the same entry of their group's pmf.
+Rows with the same (m, a_y, b_y) read one cumulative pmf. In the model, one
+component pair's rows share m and a_y + b_y, so within a pair the group is
+a_y, one plus the control count, and the cut the treatment count: rows group
+by one integer key, and each block of groups becomes a table that its rows
+read in one gather. Duplicate rows read the same entry; none is collapsed.
 
 Each group's pmf is built by the ratio recurrence
 
@@ -27,7 +27,7 @@ mass past an edge whose outward ratio is r < 1 is at most
 pmf(edge) r / (1 - r). Where that bound exceeds _TAIL_MASS of the window's
 mass, that side of the window is doubled and the group evaluated again.
 
-Groups are evaluated in 2-D blocks (groups x terms); every product and sum
+Groups are evaluated in 2-D blocks (terms x groups); every product and sum
 runs lane by lane, outward from the anchor or inward from an edge, so a
 row's value is a pure function of its four shapes, whatever batch or block
 it is evaluated in. The scheme is exact up to rounding and the bounded
@@ -44,7 +44,7 @@ _SKEW_SD = 12.0
 _MIN_SD = 4.0
 # Largest share of a group's mass that its window may leave out.
 _TAIL_MASS = 1e-17
-# Most terms one (groups x terms) block holds, which bounds working memory.
+# Most terms one (terms x groups) block holds, which bounds working memory.
 _BLOCK = 1 << 14
 # Most rows one call of the grouped CDF takes in the superiority sum, which
 # bounds the memory of its grouping.
@@ -71,10 +71,8 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
     """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y) of an (N, 4) array.
 
-    The one entry to the exact sum. Rows need not be distinct: equal rows
-    fall into the same (m, a, b) group and read the same entry of its pmf,
-    so a row's value never depends on its multiplicity or on the other rows
-    of the call.
+    The one entry to the exact sum. Rows need not be distinct, and a row's
+    value depends on its four shapes only, not on the other rows of the call.
     """
     if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
         raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
@@ -85,24 +83,34 @@ def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
 def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     """P(K <= k), K ~ BetaBinomial(m, a, b), per row of integers with m, a, b >= 1.
 
-    Rows are grouped by (m, a, b); groups are taken in order of window
-    width, in blocks of at most _BLOCK terms, and the groups a block widens
-    go round again until none is widened.
+    A run is a stretch of rows with equal (m, a + b). A row's group key is
+    its run's offset plus a less the least a of the run; a stable argsort of
+    the keys in the smallest unsigned dtype that holds them (numpy radix-sorts
+    8- and 16-bit keys) finds the groups in O(rows) memory, however sparse a
+    run. Groups go in order of window width, in blocks of at most _BLOCK
+    terms, and widened groups go round again. Each round sorts the rows by
+    their group's place, so that a block's rows are one slice that reads its
+    table once it is built.
     """
     k, m, a, b = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (k, m, a, b))
     size = k.shape[0]
     values = np.empty(size)
     if size == 0:
         return values
-    order = np.lexsort((b, a, m))
-    keys = np.column_stack([m, a, b])[order]
-    first = np.ones(size, dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    row_start = np.flatnonzero(first)
-    row_count = np.diff(np.append(row_start, size))
-    cut = k[order]
-    gm, ga, gb = keys[first].T
-    s = ga + gb
+    s = a + b
+    new_run = np.ones(size, dtype=bool)
+    new_run[1:] = (m[1:] != m[:-1]) | (s[1:] != s[:-1])
+    run_start = np.flatnonzero(new_run)
+    least = np.minimum.reduceat(a, run_start)
+    end = np.cumsum(np.maximum.reduceat(a, run_start) - least + 1.0)
+    if end[-1] > 2.0**53:  # larger keys would round onto each other
+        raise ValueError("the shapes a of the runs span more than 2**53 keys in all")
+    key = (np.append(0.0, end[:-1]) - least)[np.cumsum(new_run) - 1] + a
+    _, heads, group, count = np.unique(
+        key.astype(np.min_scalar_type(int(end[-1]) - 1)),
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    gm, ga, gb, s = m[heads], a[heads], b[heads], s[heads]
     anchor = np.floor(gm * ga / s)
     sd = np.sqrt(gm * ga * gb * (s + gm) / (s * s * (s + 1.0)))
     skew = (gb - ga) * (2.0 * gm + s) / ((s + 2.0) * s * sd)
@@ -110,16 +118,17 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     below = np.minimum(anchor, np.ceil(sd * np.maximum(_WINDOW_SD - _SKEW_SD * skew, _MIN_SD)))
     above = np.minimum(gm - anchor, np.ceil(sd * np.maximum(_WINDOW_SD + _SKEW_SD * skew, _MIN_SD)))
     below, above = below.astype(np.int64), above.astype(np.int64)
-    found = np.empty(size)
     pending = np.arange(gm.shape[0])
     while pending.size:
         widths = below[pending] + above[pending] + 1
         by_width = np.argsort(widths, kind="stable")
         pending, widths = pending[by_width], widths[by_width]
-        count = row_count[pending]
-        bounds = np.concatenate([[0], np.cumsum(count)])
-        rows = np.repeat(row_start[pending] - bounds[:-1], count) + np.arange(bounds[-1])
-        local = np.repeat(np.arange(pending.size), count)
+        # the rows of groups that are not pending take the last place
+        place = np.full(gm.shape[0], pending.size, dtype=np.min_scalar_type(pending.size))
+        place[pending] = np.arange(pending.size)
+        bounds = np.concatenate([[0], np.cumsum(count[pending])])
+        rows = np.argsort(place[group], kind="stable")[: bounds[-1]]
+        local = place[group[rows]].astype(np.intp)
         m_, a_, b_, j0, lo, hi = (v[pending] for v in (gm, ga, gb, anchor, below, above))
         up_edge, down_edge, total = np.empty((3, pending.size))
         start = 0
@@ -129,71 +138,60 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
             fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK
             stop = start + max(1, int(np.count_nonzero(fits)))
             block, span = slice(start, stop), slice(bounds[start], bounds[stop])
-            found[rows[span]], up_edge[block], down_edge[block], total[block] = _window_block(
-                m_[block], a_[block], b_[block], j0[block], lo[block], hi[block],
-                local[span] - start, cut[rows[span]],
+            table, origin, up_edge[block], down_edge[block], total[block] = _window_block(
+                m_[block], a_[block], b_[block], j0[block], lo[block], hi[block]
             )
+            at, g = rows[span], local[span] - start
+            lane = np.clip(k[at] - origin[g], 0.0, table.shape[0] - 1.0).astype(np.intp)
+            values[at] = table[lane, g] / table[-1, g]
             start = stop
         new_hi = _widen(up_edge, m_, a_, b_, j0, hi, total)
         new_lo = _widen(down_edge, m_, b_, a_, m_ - j0, lo, total)
         below[pending], above[pending] = new_lo, new_hi
         pending = pending[(new_lo != lo) | (new_hi != hi)]
-    values[order] = found
     return values
 
 
-def _window_block(m, a, b, anchor, below, above, local, cut):
-    """CDF values of one block of groups, with each group's edge terms and window mass.
+def _window_block(m, a, b, anchor, below, above):
+    """A block of groups as one CDF table over pmf(anchor), with each group's edge terms.
 
-    ``local`` gives each row's group within the block and ``cut`` its k.
-    Returns (values, upper edge, lower edge, total): the edges are
-    pmf(anchor + above) and pmf(anchor - below) over pmf(anchor), and the
-    total is the window's mass on that scale.
+    Returns (table, origin, upper edge, lower edge, total). A group's table
+    column is [0 | down tail, reversed | running sum]: row r sums the
+    window's terms up to origin + r, so a cut reads row clip(cut - origin,
+    0, rows - 1), and the last row is the total, the window's mass. The
+    edges are pmf(anchor + above) and pmf(anchor - below).
     """
     # The lower side is the upper side of the reflected law: pmf(anchor - x)
     # of BetaBinomial(m, a, b) is pmf(m - anchor + x) of BetaBinomial(m, b, a).
     up = _side(m, a, b, anchor, above)
     down = _side(m, b, a, m - anchor, below)
-    # down_tail[:, x - 1] sums the terms anchor - x and lower, taken inward
-    # from the edge, so padded lanes add exact zeros first.
-    down_tail = np.cumsum(down[:, :0:-1], axis=1)[:, ::-1]
-    upto = np.cumsum(up, axis=1)
-    upto += down_tail[:, :1]
-    total = upto[:, -1]
-
-    offset = cut - anchor[local]
-    up_lane = np.clip(offset, 0.0, above[local]).astype(np.int64)
-    down_lane = np.maximum(-offset, 1.0)
-    inside = down_lane <= below[local]
-    down_lane = np.minimum(down_lane, down_tail.shape[1]).astype(np.int64) - 1
-    numer = np.where(
-        offset >= 0.0,
-        upto[local, up_lane],
-        np.where(inside, down_tail[local, down_lane], 0.0),
-    )
-    values = numer / total[local]
-
+    lanes = down.shape[0] - 1
+    table = np.zeros((1 + lanes + up.shape[0], m.size))
+    # sums below the anchor run inward from the edge: padded lanes add exact zeros first
+    np.cumsum(down[:0:-1], axis=0, out=table[1 : lanes + 1])
+    upto = np.cumsum(up, axis=0, out=table[lanes + 1 :])
+    upto += table[lanes]
     groups = np.arange(m.size)
-    return values, up[groups, above], down[groups, below], total
+    return table, anchor - (lanes + 1.0), up[above, groups], down[below, groups], table[-1]
 
 
 def _side(m, a, b, anchor, terms):
-    """pmf(anchor + x) / pmf(anchor) of BetaBinomial(m, a, b) in lane x of a block.
+    """pmf(anchor + x) / pmf(anchor) of BetaBinomial(m, a, b) in row x, one column per group.
 
     A running product of the ratios pmf(j + 1) / pmf(j) = (m - j)(j + a) /
-    ((j + 1)(m - j - 1 + b)), written in x = j + 1 - anchor. Lane 0 is 1,
-    lanes past a group's ``terms`` are 0, and there is always a lane 1.
+    ((j + 1)(m - j - 1 + b)), written in x = j + 1 - anchor. Lane (row) 0 is
+    1, lanes past a group's ``terms`` are 0, and there is always a lane 1.
     """
-    x = np.arange(1.0, max(int(terms.max()), 1) + 1.0)
-    p, q, u, v = (col[:, None] for col in _ratio_terms(m, a, b, anchor))
+    x = np.arange(1.0, max(int(terms.max()), 1) + 1.0)[:, None]
+    p, q, u, v = _ratio_terms(m, a, b, anchor)
     num = p - x
     num *= q + x
     den = u + x
     den *= v - x
-    out = np.zeros((m.size, x.size + 1))
-    out[:, 0] = 1.0
-    np.divide(num, den, out=out[:, 1:], where=x <= terms[:, None])
-    np.cumprod(out, axis=1, out=out)
+    out = np.zeros((x.size + 1, m.size))
+    out[0] = 1.0
+    np.divide(num, den, out=out[1:], where=x <= terms)
+    np.cumprod(out, axis=0, out=out)
     return out
 
 
@@ -244,9 +242,9 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     The other pairs' rows go to the grouped CDF pair after pair, in as few
     calls of whole pairs as keep each within _CALL_ROWS rows, the pairs
     spread evenly over them, or one pair in slices of _CALL_ROWS rows when a
-    pair alone is larger. Pairs with different (m, a_y + b_y) share no
-    (m, a_y, b_y) group, and a row's value depends on its four shapes only,
-    so the split changes no value.
+    pair alone is larger. A pair's rows are one run of equal (m, a_y +
+    b_y) for the grouped CDF, and a row's value depends on its four shapes
+    only, so the split changes no value.
     """
     n, k_t = a_t.shape
     k_c = a_c.shape[1]

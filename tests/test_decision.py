@@ -309,6 +309,42 @@ class TestRowDedup:
         values = _exceedance_unique(np.empty((0, 4)))
         assert values.shape == (0,) and values.dtype == np.float64
 
+    @pytest.mark.parametrize("layout", ["pair after pair", "shuffled", "sparse run"])
+    def test_any_row_order_matches_one_row_at_a_time(self, layout):
+        """A real batch's four pairs in the order the superiority sum sends
+        them (one run of equal (m, a_y + b_y) per pair), the same rows
+        shuffled (runs of length one), and one run whose a_y lie 10^9 apart."""
+        rng = np.random.default_rng(743)
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=300, master_seed=743
+        )
+        batch = simulate_batch(scenario, 206, 0, scenario.replicates)
+        (_, a_t, b_t), (_, a_c, b_c) = batch.treatment, batch.control
+        rows = np.vstack(
+            [
+                np.column_stack([a_t[:, i], b_t[:, i], a_c[:, j], b_c[:, j]])
+                for i in range(2)
+                for j in range(2)
+            ]
+        )
+        if layout == "shuffled":
+            rows = rng.permutation(rows)
+        elif layout == "sparse run":
+            a_y = np.array([1.0, 2.0, 5e8, 1e9 - 1.0, 1e9, 2.0, 1.0])
+            rows = np.array([[a_x, 8.0 - a_x, y, 1e9 + 1.0 - y] for a_x in (1, 4, 7) for y in a_y])
+        one_at_a_time = np.array([exceedance(*row) for row in rows])
+        assert _exceedance_unique(rows).tobytes() == one_at_a_time.tobytes()
+
+    def test_keys_past_float_precision_raise(self):
+        # two runs whose a_y span 2**52 each: their keys would pass 2**53
+        wide = 2.0**52 + 1.0
+        rows = np.array([[a_x, 2.0, a_y, 1.0 + wide - a_y] for a_x in (2, 3) for a_y in (1, wide)])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            _exceedance_unique(rows)
+        assert _exceedance_unique(rows[:2]).tobytes() == np.array(
+            [exceedance(*row) for row in rows[:2]]
+        ).tobytes()
+
     @pytest.mark.parametrize("shape", [np.nan, np.inf, 2.5])
     def test_bad_shape_among_duplicates_still_raises(self, shape):
         rows = np.tile([3.0, 4.0, 2.0, 5.0], (6, 1))
