@@ -66,8 +66,7 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # perfbench/spans.py wraps this name and counts the rows of each call, so
-# the name stays (it predates the removal of the row dedup) and callers look
-# it up as a module global.
+# the name stays and callers look it up as a module global.
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
     """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y) of an (N, 4) array.
 

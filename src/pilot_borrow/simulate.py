@@ -10,7 +10,7 @@ runs it on a single replicate for inspection. Replicates draw in fixed
 blocks of ``_DRAW_BLOCK``, each from a counter-based Philox stream keyed on
 (master_seed, n_total, block), and a replicate's decision is a pure function
 of (master_seed, n_total, replicate index), so results are bit-identical
-across runs, chunk layouts and any number of worker processes.
+across runs, batch layouts and any number of worker processes.
 """
 
 import itertools
@@ -30,19 +30,20 @@ DEFAULT_MASTER_SEED = 20260808
 SEARCH_N_LO = 2
 SEARCH_N_HI = 20_000
 _SEED_MASK = (1 << 64) - 1
-# Largest definitive total: its arm sizes and every ln Γ argument of the
-# model (at most n_total + 3) stay within int64.
-_N_TOTAL_MAX = 1 << 62
+# Largest definitive total, 50 times SEARCH_N_HI. Every ln Γ argument of the
+# model is at most n_total + 2, so the ln Γ table holds at most 2**20 + 3
+# entries (8 MB).
+_N_TOTAL_MAX = 1 << 20
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
-# Most replicates one chunk evaluates at once, which bounds its working
-# memory; a serial probe of no more replicates is one chunk. Counts do not
-# depend on how replicates are split into chunks.
+# Most replicates one simulate_batch call of a share evaluates at once, which
+# bounds its working memory. Counts do not depend on how replicates are split.
 _REPLICATE_CHUNK = 1 << 15
-# Fewest replicates worth a pool worker: a probe runs on a pool only when it
-# has more than this, in no more equal shares than ceil(replicates / _POOL_SHARE).
+# Fewest replicates worth a pool worker: a probe splits into no more equal
+# shares than ceil(replicates / _POOL_SHARE), and runs on a pool only when it
+# has more than one share.
 _POOL_SHARE = 4096
 # Replicates that share one Philox stream. Part of the stream layout, so
-# changing it changes every draw; chunks need not align to it.
+# changing it changes every draw; batches need not align to it.
 _DRAW_BLOCK = 256
 
 
@@ -112,7 +113,7 @@ def check_seed(value, name: str = "master_seed"):
 
 def _check_integer(value, name: str, lo: int = 2, hi: int = _N_TOTAL_MAX):
     """An integer argument (not a bool) in [lo, hi]. The default range is that
-    of a definitive total, whose arm sizes and ln Γ arguments stay in int64."""
+    of a definitive total, whose ln Γ arguments the ln Γ table holds."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
@@ -269,10 +270,7 @@ def _log_beta_binomial_pmf(lgamma, y, n, a, b):
 # ln Γ(k) at k = 0, 1, ..., len - 1 (entry 0 is the pole), from math.lgamma.
 # It lives for the process and grows only to the largest argument asked for;
 # an entry never changes once written, so every caller reads the same values.
-# Arguments past _LGAMMA_TABLE_CAP (8 MB of table) call math.lgamma instead.
 _lgamma_values = np.array([math.inf])
-_LGAMMA_TABLE_CAP = 1 << 20
-_lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
 def _lgamma_table(top: int) -> np.ndarray:
@@ -303,9 +301,8 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     Each output has shape (m, 2), vague component first.
     """
     # Every log-gamma argument is an integer from 1 to 2 + n_pilot + n_def (a, b >= 1,
-    # 0 <= y <= n): the table is sized once and read unchecked; math.lgamma meets no pole.
-    top = 2 + n_pilot + n_def
-    lgamma = _lgamma_table(top).__getitem__ if top <= _LGAMMA_TABLE_CAP else _lgamma_each
+    # 0 <= y <= n): the table is sized once and read unchecked.
+    lgamma = _lgamma_table(2 + n_pilot + n_def).__getitem__
     k_pilot = y_pilot.astype(np.intp, copy=False)
     k_def = y_def.astype(np.intp, copy=False)
     log_w_vague = math.log1p(-weight) if weight < 1.0 else -math.inf
@@ -330,23 +327,33 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     return weights, alphas, betas
 
 
+def _equal_split(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """[start, stop) as ``parts`` contiguous ranges whose sizes differ by at most one."""
+    size = stop - start
+    return [(start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts)]
+
+
 def _chunk_task(args) -> int:
-    """Successes among replicates [start, stop) for ``args = (scenario, n_total, start, stop)``."""
-    return int(np.count_nonzero(simulate_batch(*args).success))
+    """Successes among replicates [start, stop) for ``args = (scenario, n_total, start, stop)``,
+    one worker's share, run in ceil(len / _REPLICATE_CHUNK) equal batches."""
+    scenario, n_total, start, stop = args
+    batches = _equal_split(start, stop, -(-(stop - start) // _REPLICATE_CHUNK))
+    return sum(
+        int(np.count_nonzero(simulate_batch(scenario, n_total, lo, hi).success))
+        for lo, hi in batches
+    )
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of near-equal size, none empty, at most ``_REPLICATE_CHUNK`` each.
+    """One worker's share each: ``total`` replicates in min(workers,
+    ceil(total / _POOL_SHARE)) contiguous, near-equal, non-empty ranges."""
+    return _equal_split(0, total, min(workers, -(-total // _POOL_SHARE)))
 
-    A chunk exists to give a pool worker its share: one worker takes all
-    ``total`` replicates as one chunk, and several take one share each, as
-    many shares as workers but no more than ceil(total / _POOL_SHARE). Only
-    when a share would pass ``_REPLICATE_CHUNK`` is it split, into the same
-    number of chunks for every share.
-    """
-    shares = min(workers, -(-total // _POOL_SHARE))
-    k = -(-total // _REPLICATE_CHUNK // shares) * shares
-    return [(total * i // k, total * (i + 1) // k) for i in range(k)]
+
+def _probe_pool(shares: int):
+    """The pool that runs a probe's shares: one process per share, or, for a
+    single share, a null context that yields None and runs it in this process."""
+    return ProcessPoolExecutor(max_workers=shares) if shares > 1 else nullcontext()
 
 
 def estimate_power(
@@ -356,22 +363,18 @@ def estimate_power(
 
     Each replicate's decision is a pure function of (master_seed, n_total,
     index), and the estimate sums those decisions, so it is bit-identical
-    for any worker count and chunk layout. With ``workers > 1`` and more than
-    one chunk the chunks run on ``pool`` when one is given (a search passes
-    the pool it keeps for all its probes), otherwise on a pool opened for
-    this call with no more processes than chunks.
+    for any worker count and layout. The replicates split into one share per
+    worker (see :func:`_chunk_bounds`). The shares run on ``pool`` when one
+    is given (a search passes the pool it keeps for all its probes),
+    otherwise on a pool opened for this call with one process per share, or
+    in this process when there is one share.
     """
     _check_integer(n_total, "n_total")
     check_positive_int(workers, "workers")
     total = scenario.replicates
     tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
-    if workers > 1 and len(tasks) > 1:
-        size = min(workers, len(tasks))
-        owned = ProcessPoolExecutor(max_workers=size) if pool is None else nullcontext(pool)
-        with owned as running:
-            successes = sum(running.map(_chunk_task, tasks))
-    else:
-        successes = sum(_chunk_task(task) for task in tasks)
+    with _probe_pool(len(tasks)) if pool is None else nullcontext(pool) as running:
+        successes = sum((running.map if running else map)(_chunk_task, tasks))
     power = successes / total
     return PowerEstimate(
         power=power,
@@ -434,9 +437,9 @@ def find_min_sample_size(
     the probed total, so probes at different totals draw independent
     replicates. The power reported for the returned n comes from an
     independent verification seed. When even n_hi falls short the result
-    carries ``achieved=False`` instead of silently truncating. With several
-    workers and more than one chunk per probe, one process pool, with no more
-    processes than a probe has chunks, serves every probe of the search.
+    carries ``achieved=False`` instead of silently truncating. When a probe
+    has more than one share (see :func:`_chunk_bounds`), one process pool,
+    with one process per share, serves every probe of the search.
     """
     check_open_probability(target_power, "target_power")
     check_positive_int(workers, "workers")
@@ -447,10 +450,8 @@ def find_min_sample_size(
     if n_lo >= n_hi:
         raise ValueError(f"need n_lo < n_hi, got ({n_lo}, {n_hi})")
 
-    chunks = len(_chunk_bounds(scenario.replicates, workers))
-    shared = workers > 1 and chunks > 1
     powers: dict[int, PowerEstimate] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, chunks)) if shared else nullcontext() as pool:
+    with _probe_pool(len(_chunk_bounds(scenario.replicates, workers))) as pool:
 
         def passes(n: int) -> bool:
             # estimate_power by its module name: perfbench/spans.py rebinds it

@@ -43,6 +43,11 @@ REJECTED = [
     pytest.param(
         ["replicate", *_CELL, "--n-total", str((1 << 64) + 2)], {}, 0, id="replicate-n-total-overflow"
     ),
+    # one past the largest total the ln Γ table serves
+    pytest.param(["power", *_CELL, "--n-total", "1048578"], {}, 0, id="power-n-total-past-bound"),
+    pytest.param(
+        ["replicate", *_CELL, "--n-total", "1048578"], {}, 0, id="replicate-n-total-past-bound"
+    ),
     pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(["conflict", *_CELL, "--target-power", "1.5"], {}, 0, id="target-power"),
     pytest.param(

@@ -122,12 +122,14 @@ class TestDesignScenario:
             (lambda s: find_min_sample_size(s, target_power=float("nan")), "target_power"),
             (lambda s: find_min_sample_size(s, n_hi=2000.0), "n_hi"),
             (lambda s: find_min_sample_size(s, n_hi=10**30), "n_hi"),
+            (lambda s: find_min_sample_size(s, n_hi=(1 << 20) + 2), "n_hi"),
             (lambda s: find_min_sample_size(s, n_lo=True), "n_lo"),
             (lambda s: find_min_sample_size(s, n_lo=2.0), "n_lo"),
             (lambda s: find_min_sample_size(s, n_lo=0), "n_lo"),
             (lambda s: estimate_power(s, 206.0), "n_total"),
             (lambda s: estimate_power(s, True), "n_total"),
             (lambda s: estimate_power(s, (1 << 64) + 2), "n_total"),
+            (lambda s: estimate_power(s, (1 << 20) + 2), "n_total"),
             (lambda s: trace_replicate(s, 206.0, 0), "n_total"),
             (lambda s: trace_replicate(s, (1 << 64) + 2, 0), "n_total"),
             (lambda s: trace_replicate(s, 40, 1 << 64), "index"),
@@ -290,27 +292,46 @@ class TestEstimatePower:
             assert np.array_equal(np.concatenate(chunks), full), f"workers={workers}"
 
     @pytest.mark.parametrize(
-        "replicates,workers,chunks",
+        "replicates,workers,shares",
         [
             (1, 1, 1), (1, 5000, 1), (4096, 2, 1), (4097, 2, 2), (4097, 3, 2),
             (10_000, 1, 1), (10_000, 2, 2), (10_000, 3, 3), (10_000, 5000, 3),
-            (40_000, 1, 2), (40_000, 2, 2), (40_000, 3, 3), (100_000, 2, 4), (100_000, 3, 6),
+            (40_000, 1, 1), (40_000, 2, 2), (40_000, 3, 3), (100_000, 2, 2), (100_000, 3, 3),
         ],
     )
-    def test_chunks_are_balanced(self, replicates, workers, chunks):
-        """One chunk when serial; with workers, one equal share each, no share
-        empty and no more shares than ceil(replicates / _POOL_SHARE). Only a
-        share above _REPLICATE_CHUNK is split, equally for every worker."""
+    def test_chunks_are_balanced(self, replicates, workers, shares):
+        """One share when serial; with workers, one equal share each, no share
+        empty and no more shares than ceil(replicates / _POOL_SHARE)."""
         bounds = _chunk_bounds(replicates, workers)
-        assert len(bounds) == chunks
+        assert len(bounds) == shares
+        assert shares == min(workers, -(-replicates // _POOL_SHARE))
         assert bounds[0][0] == 0 and bounds[-1][1] == replicates
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
         sizes = [hi - lo for lo, hi in bounds]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= _REPLICATE_CHUNK
-        if workers > 1:
-            assert chunks <= -(-replicates // _POOL_SHARE)
-            assert chunks <= workers or chunks % workers == 0
+
+    def test_a_share_runs_in_equal_batches(self, monkeypatch):
+        """A 100,000-replicate share runs as ceil(100,000 / _REPLICATE_CHUNK)
+        equal, contiguous batches, which count what one batch counts."""
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=100_000,
+            master_seed=80,
+        )
+        share = (5, 100_005)
+        ranges = []
+
+        def recording_batch(scenario, n_total, start, stop):
+            ranges.append((start, stop))
+            return simulate_batch(scenario, n_total, start, stop)
+
+        monkeypatch.setattr(simulate, "simulate_batch", recording_batch)
+        successes = simulate._chunk_task((scenario, 40, *share))
+        assert len(ranges) == -(-100_000 // _REPLICATE_CHUNK)
+        assert ranges[0][0] == share[0] and ranges[-1][1] == share[1]
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert len({hi - lo for lo, hi in ranges}) == 1
+        assert max(hi - lo for lo, hi in ranges) <= _REPLICATE_CHUNK
+        assert successes == np.count_nonzero(simulate_batch(scenario, 40, *share).success)
 
     def test_serial_probe_builds_each_group_once(self, monkeypatch):
         """A serial 10,000-replicate probe passes each (m, a, b) group of its

@@ -19,6 +19,9 @@ from pilot_borrow.simulate import (
 
 from oracles import beta_binomial_marginal_quad, block_stream_draws
 
+# ln Γ per element from math.lgamma, which raises at the poles 0, -1, -2, ...
+lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
+
 
 class TestRegIncBeta:
     def test_boundaries(self):
@@ -127,9 +130,13 @@ class TestLogGammaTable:
         for before, after in zip(small, _posterior_components(0.5, y_pilot, 12, y_def, 40)):
             assert np.array_equal(before, after)
 
-    def test_past_the_cap_math_lgamma_gives_the_same_values(self, monkeypatch):
+    def test_table_matches_math_lgamma_at_extreme_counts(self, monkeypatch):
         # math.lgamma raises at its poles 0, -1, -2, ..., so the extreme counts
         # also show that the model forms no ln Γ argument below 1
+        class Reference:
+            def __getitem__(self, k):
+                return lgamma_each(k)
+
         cases = [
             (0.5, [3, 9], 12, [20, 31], 40),
             (0.5, [0, 12, 0, 12], 12, [0, 0, 40, 40], 40),  # y_pilot, y_def at 0 and n
@@ -140,23 +147,34 @@ class TestLogGammaTable:
         for weight, y_pilot, n_pilot, y_def, n_def in cases:
             args = (weight, np.array(y_pilot), n_pilot, np.array(y_def), n_def)
             tabled = _posterior_components(*args)
+            assert np.all(np.isfinite(tabled[0]))
             with monkeypatch.context() as patch:
-                patch.setattr(simulate, "_LGAMMA_TABLE_CAP", 10)
-                patch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
+                patch.setattr(simulate, "_lgamma_table", lambda top: Reference())
                 untabled = _posterior_components(*args)
-                assert len(simulate._lgamma_values) == 1
             for a, b in zip(tabled, untabled):
                 assert np.array_equal(a, b)
 
+    def test_largest_total_fills_the_table_to_its_bound(self, monkeypatch):
+        # n_total = 2**20 with a pilot of nearly the same size: all four arms
+        # hold 2**19, so the largest ln Γ argument is 2 + 2**20
+        monkeypatch.setattr(simulate, "_lgamma_values", np.array([math.inf]))
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.999999999999
+        )
+        batch = simulate_batch(scenario, 1 << 20, 0, 4)
+        assert batch.sizes == (1 << 19,) * 4
+        assert len(simulate._lgamma_values) == (1 << 20) + 3
+        assert np.all(np.isfinite(batch.superiority))
+
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (2.5, 7.0), (7.0, 2.5), (40.0, 2.5)])
     def test_non_integer_shapes_match_scipy(self, a, b):
-        # past the cap ln Γ is math.lgamma per element, which holds at real
-        # arguments as well; the model itself forms integer ones only
+        # with math.lgamma per element the pmf holds at real arguments as
+        # well; the model itself forms integer ones only
         from scipy import stats
 
         y = np.arange(51)
         expected = stats.betabinom.logpmf(y, 50, a, b)
-        value = _log_beta_binomial_pmf(simulate._lgamma_each, y, 50, a, b)
+        value = _log_beta_binomial_pmf(lgamma_each, y, 50, a, b)
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
