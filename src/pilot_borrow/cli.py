@@ -30,9 +30,10 @@ from .recruitment import (
 )
 from .runner import STATUS_OK, emit_results, print_summary, run_grid
 from .simulate import (
+    _SEED_MASK,
     DEFAULT_MASTER_SEED,
     DesignScenario,
-    check_seed,
+    check_integer,
     estimate_power,
     trace_replicate,
 )
@@ -60,7 +61,7 @@ def _env_seed() -> int | None:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    check_seed(seed, SEED_ENV_VAR)
+    check_integer(seed, SEED_ENV_VAR, 0, _SEED_MASK)
     return seed
 
 

@@ -40,11 +40,12 @@ import os
 from dataclasses import dataclass, field
 
 from .simulate import (
+    _SEED_MASK,
     DEFAULT_MASTER_SEED,
     GridCell,
+    check_integer,
     check_open_probability,
-    check_positive_int,
-    check_seed,
+    split_arms,
 )
 
 # config key of each RunConfig field
@@ -105,7 +106,7 @@ class RecruitmentPlan:
     def target_n(self, n_total: int) -> int:
         """Recruits the model must reach: whole trial, or one arm."""
         if self.rate_interpretation == "per_arm":
-            return (n_total + 1) // 2
+            return split_arms(n_total)[0]
         return n_total
 
 
@@ -127,9 +128,9 @@ class RunConfig:
         try:
             check_open_probability(self.target_power, "target_power")
             check_open_probability(self.threshold, "phi (threshold)")
-            check_positive_int(self.replicates, "replicates")
-            check_positive_int(self.workers, "workers")
-            check_seed(self.master_seed)
+            check_integer(self.replicates, "replicates", 1, _SEED_MASK + 1)
+            check_integer(self.workers, "workers", 1, math.inf)
+            check_integer(self.master_seed, "master_seed", 0, _SEED_MASK)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.output_path is not None:

@@ -15,6 +15,7 @@ across runs, batch layouts and any number of worker processes.
 
 import itertools
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -66,8 +67,7 @@ class GridCell:
     prior_weight: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.control_rate < 1.0:
-            raise ValueError(f"p_C (control_rate) must lie in (0, 1), got {self.control_rate}")
+        check_open_probability(self.control_rate, "p_C (control_rate)")
         if not self.risk_ratio > 0.0:
             raise ValueError(f"rr (risk_ratio) must be positive, got {self.risk_ratio}")
         if not 0.0 <= self.pilot_fraction < 1.0:
@@ -94,26 +94,20 @@ class GridCell:
 
 
 def check_open_probability(value, name: str):
-    """A run setting that must be a real number strictly between 0 and 1."""
+    """A real number (not a bool) strictly between 0 and 1."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
-def check_positive_int(value, name: str):
-    """A run setting that must be an integer of at least 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+def check_positive_finite(value, name: str):
+    """A real number (not a bool) above 0 and below infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def check_seed(value, name: str = "master_seed"):
-    """A master seed: an integer (not a bool) in [0, 2**64)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _SEED_MASK:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-
-
-def _check_integer(value, name: str, lo: int = 2, hi: int = _N_TOTAL_MAX):
-    """An integer argument (not a bool) in [lo, hi]. The default range is that
-    of a definitive total, whose ln Γ arguments the ln Γ table holds."""
+def check_integer(value, name: str, lo: int = 2, hi: int = _N_TOTAL_MAX):
+    """An integer (not a bool) in [lo, hi]. The default range is that of a
+    definitive total, whose ln Γ arguments the ln Γ table holds."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo:
@@ -138,8 +132,9 @@ class DesignScenario(GridCell):
                 f"{self.treatment_rate:g}, pilot treatment {self.pilot_treatment_rate:g})"
             )
         check_open_probability(self.threshold, "threshold")
-        check_positive_int(self.replicates, "replicates")
-        check_seed(self.master_seed)
+        # the replicate-index range that simulate_batch accepts for stop
+        check_integer(self.replicates, "replicates", 1, _SEED_MASK + 1)
+        check_integer(self.master_seed, "master_seed", 0, _SEED_MASK)
 
 
 @dataclass(frozen=True)
@@ -168,8 +163,7 @@ class SampleSizeResult:
 
 def split_arms(total: int) -> tuple[int, int]:
     """1:1 allocation of a study total; control takes the odd participant."""
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
+    check_integer(total, "total", 0)
     control = (total + 1) // 2
     return control, total - control
 
@@ -212,10 +206,10 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     ``n_total`` is checked as in :func:`estimate_power`, and the range must
     satisfy 0 <= start <= stop <= 2**64.
     """
-    _check_integer(n_total, "n_total")
+    check_integer(n_total, "n_total")
     # the block number of the last replicate fits a 64-bit Philox counter word
-    _check_integer(stop, "stop", 0, _SEED_MASK + 1)
-    _check_integer(start, "start", 0, stop)
+    check_integer(stop, "stop", 0, _SEED_MASK + 1)
+    check_integer(start, "start", 0, stop)
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
     control_n, treatment_n = split_arms(n_total)
     sizes = (pilot_control_n, pilot_treatment_n, control_n, treatment_n)
@@ -250,7 +244,7 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
 
 def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> ReplicateBatch:
     """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
-    _check_integer(index, "index", 0, _SEED_MASK)
+    check_integer(index, "index", 0, _SEED_MASK)
     return simulate_batch(scenario, n_total, index, index + 1)
 
 
@@ -327,10 +321,11 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     return weights, alphas, betas
 
 
-def _equal_split(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    """[start, stop) as ``parts`` contiguous ranges whose sizes differ by at most one."""
+def _equal_split(start: int, stop: int, parts: int) -> Iterator[tuple[int, int]]:
+    """[start, stop) as ``parts`` contiguous ranges whose sizes differ by at most
+    one, made one at a time, so a share of any size walks its batches in O(1) memory."""
     size = stop - start
-    return [(start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts)]
+    return ((start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts))
 
 
 def _chunk_task(args) -> int:
@@ -347,7 +342,7 @@ def _chunk_task(args) -> int:
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     """One worker's share each: ``total`` replicates in min(workers,
     ceil(total / _POOL_SHARE)) contiguous, near-equal, non-empty ranges."""
-    return _equal_split(0, total, min(workers, -(-total // _POOL_SHARE)))
+    return list(_equal_split(0, total, min(workers, -(-total // _POOL_SHARE))))
 
 
 def _probe_pool(shares: int):
@@ -369,8 +364,8 @@ def estimate_power(
     otherwise on a pool opened for this call with one process per share, or
     in this process when there is one share.
     """
-    _check_integer(n_total, "n_total")
-    check_positive_int(workers, "workers")
+    check_integer(n_total, "n_total")
+    check_integer(workers, "workers", 1, math.inf)
     total = scenario.replicates
     tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
     with _probe_pool(len(tasks)) if pool is None else nullcontext(pool) as running:
@@ -442,9 +437,9 @@ def find_min_sample_size(
     with one process per share, serves every probe of the search.
     """
     check_open_probability(target_power, "target_power")
-    check_positive_int(workers, "workers")
-    _check_integer(n_lo, "n_lo")
-    _check_integer(n_hi, "n_hi")
+    check_integer(workers, "workers", 1, math.inf)
+    check_integer(n_lo, "n_lo")
+    check_integer(n_hi, "n_hi")
     if n_lo % 2 or n_hi % 2:
         raise ValueError(f"n_lo and n_hi must be even, got ({n_lo}, {n_hi})")
     if n_lo >= n_hi:

@@ -7,7 +7,8 @@ from pairwise sampling, 2-d quadrature, a closed-form sum for integer
 shapes, a 50-digit ``decimal`` beta-binomial sum or a windowed
 Gauss-Legendre rule over scipy's incomplete beta, design power from exact
 enumeration or an independent sampler, and Negative-Binomial tails from
-direct pmf summation, Gamma-Poisson sampling or exact rational arithmetic.
+direct pmf summation, Gamma-Poisson sampling, exact rational arithmetic or
+scipy's incomplete beta.
 Replicate draws come from numpy's ``Philox`` and ``Generator``, one scalar
 draw at a time.
 """
@@ -199,6 +200,15 @@ def recruitment_probability_exact(n: int, lambda0: float, m: int) -> Fraction:
     if r != int(r) or m != int(m):
         raise ValueError(f"needs integer 2 * lambda0 and m, got {lambda0}, {m}")
     return reg_inc_beta_exact(Fraction(int(m), 2 + int(m)), n, int(r))
+
+
+def recruitment_probability_betainc(n: int, lambda0: float, m: float) -> float:
+    """P(at least n recruits within m months) from scipy's ``betainc``.
+
+    I_x(n, 2 lambda0) at the double x = 1 - p, p = 2 / (2 + m), the
+    Negative-Binomial parameters of the model, for any real lambda0 and m.
+    """
+    return float(special.betainc(n, 2.0 * lambda0, 1.0 - 2.0 / (2.0 + m)))
 
 
 def gamma_poisson_survival_mc(

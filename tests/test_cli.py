@@ -27,6 +27,10 @@ def write_config(tmp_path, **extra):
 
 _CELL = ["--p-c", "0.25", "--rr", "1.7"]
 _RECRUIT = ["recruit", "--lambda0", "5", "--n", "230"]
+# n = 2**53 once printed a negative probability and exited 0
+_NEGATIVE_PROBABILITY = [
+    "recruit", "--lambda0", "5", "--n", str(1 << 53), "--months", "1801439850948198"
+]
 
 # (argv, environment, stdout lines printed before the bad input); "{config}"
 # stands for a valid grid config file
@@ -91,6 +95,23 @@ REJECTED = [
     ),
     pytest.param([*_RECRUIT, "--months", "inf"], {}, 0, id="months-inf"),
     pytest.param(["duration", "--n", "100", "--rates", "inf"], {}, 0, id="duration-rate-inf"),
+    # a recruit count runs to the largest definitive total, 2**20
+    pytest.param(
+        ["recruit", "--lambda0", "5", "--n", "1048577", "--months", "46"], {}, 0,
+        id="recruit-n-past-bound",
+    ),
+    pytest.param(_NEGATIVE_PROBABILITY, {}, 0, id="recruit-n-2-53"),
+    pytest.param(["duration", "--n", "1048577"], {}, 0, id="duration-n-past-bound"),
+    pytest.param(["duration", "--n", str(10**400)], {}, 0, id="duration-n-overflow"),
+    pytest.param(
+        ["recruit", "--lambda0", "5", "--n", str(10**400), "--months", "46"], {}, 0,
+        id="recruit-n-overflow",
+    ),
+    # one past the replicate-index range of the 64-bit stream counter
+    pytest.param(
+        ["power", *_CELL, "--replicates", str((1 << 64) + 1), "--n-total", "40"], {}, 0,
+        id="replicates-overflow",
+    ),
     # checked by RunConfig and by the cells of the conflict sweep
     pytest.param(["conflict", *_CELL, "--workers", "0"], {}, 0, id="workers-conflict"),
     pytest.param(["grid", "--config", "{config}", "--replicates", "0"], {}, 0, id="grid-replicates"),
@@ -141,6 +162,13 @@ def test_rejected_input_exits_1_with_one_error_line(tmp_path, capfd, monkeypatch
     assert len(out.splitlines()) == printed
 
 
+@pytest.mark.parametrize("argv", [_NEGATIVE_PROBABILITY, ["duration", "--n", str(10**400)]])
+def test_recruit_count_past_the_largest_total_names_the_bound(capfd, argv):
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capfd.readouterr()
+    assert out == "" and err == f"error: n must be <= 1048576, got {argv[argv.index('--n') + 1]}\n"
+
+
 class TestPowerCommand:
     def test_prints_estimate(self, capsys):
         code = main(
@@ -181,7 +209,7 @@ class TestPowerCommand:
             ["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40", "--workers", workers]
         )
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: workers must be a positive integer, got {workers}\n"
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
 
 
     @pytest.mark.parametrize("rates", [["--rr", "nan"], ["--rr", "1.7", "--multiplier", "nan"]])

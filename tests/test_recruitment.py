@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pilot_borrow.recruitment import (
 from oracles import (
     gamma_poisson_survival_mc,
     negbin_cdf_by_summation,
+    recruitment_probability_betainc,
     recruitment_probability_exact,
     reg_inc_beta_exact,
 )
@@ -166,6 +168,58 @@ class TestAgainstExactOracle:
         r, p = negbin_params(RecruitmentModel(5.0), 46.0)
         exact = float(recruitment_probability_exact(230, 5, 46))
         assert exact + negbin_cdf_by_summation(229, r, p) == pytest.approx(1.0, abs=1e-12)
+
+
+_MODEL = RecruitmentModel(5.0)
+# each function that takes a recruit count, as a function of the count alone
+_COUNT_CALLS = (
+    lambda n: expected_duration(n, 5.0),
+    lambda n: recruitment_probability(_MODEL, n, 46.0),
+    lambda n: months_for_probability(_MODEL, n, 0.8),
+)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        *(
+            (partial(call, n), "n")
+            for call in _COUNT_CALLS
+            for n in (float("nan"), 2.5, True, -1, (1 << 20) + 1)
+        ),
+        (partial(RecruitmentModel, True), "lambda0"),
+        (partial(RecruitmentModel, "5"), "lambda0"),
+        (partial(expected_duration, 230, True), "recruitment rate"),
+        (partial(expected_duration, 230, "5"), "recruitment rate"),
+        (partial(negbin_params, _MODEL, True), "months"),
+        (partial(negbin_params, _MODEL, "5"), "months"),
+        (partial(months_for_probability, _MODEL, 230, True), "target probability"),
+    ],
+)
+def test_recruitment_arguments_are_checked_by_type_and_range(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
+
+
+@pytest.mark.parametrize("lambda0", [0.5, 2.0, 5.0, 10.0])
+def test_relative_error_at_the_largest_definitive_total(lambda0):
+    """At n = 2**20, the top of the accepted range, against scipy's
+    incomplete beta (within 2e-15 of 40-digit mpmath there), over windows
+    around the mean time to n recruits."""
+    n = 1 << 20
+    model = RecruitmentModel(lambda0)
+    for window in (0.8, 0.9, 1.0, 1.1, 1.25):
+        m = window * n / lambda0
+        reference = recruitment_probability_betainc(n, lambda0, m)
+        value = recruitment_probability(model, n, m)
+        assert abs(value - reference) <= 1e-8 * reference, (window, value, reference)
+
+
+def test_recruit_count_runs_to_the_largest_definitive_total():
+    n = 1 << 20
+    assert expected_duration(n, 5.0) == n / 5.0
+    assert 0.0 < recruitment_probability(_MODEL, n, n / 5.0) < 1.0
+    assert months_for_probability(_MODEL, n, 0.5) > 0.0
 
 
 class TestMonthsForProbability:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,13 @@ class TestDesignScenario:
         with pytest.raises(ValueError, match=name):
             DesignScenario(control_rate=0.25, risk_ratio=1.7, **setting)
 
+    def test_replicates_run_to_the_stream_counter_range(self):
+        """Replicate indices below 2**64 fit the stream's 64-bit counter words."""
+        widest = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=1 << 64)
+        assert widest.replicates == 1 << 64
+        with pytest.raises(ValueError, match=r"^replicates must be <= 18446744073709551616, got "):
+            DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=(1 << 64) + 1)
+
     @pytest.mark.parametrize(
         "call,name",
         [
@@ -142,6 +150,9 @@ class TestDesignScenario:
             (lambda s: simulate_batch(s, 206, 0, True), "stop"),
             (lambda s: simulate_batch(s, 206.0, 0, 2), "n_total"),
             (lambda s: simulate_batch(s, 1, 0, 2), "n_total"),
+            (lambda s: split_arms(-1), "total"),
+            (lambda s: split_arms(2.5), "total"),
+            (lambda s: split_arms(True), "total"),
         ],
     )
     def test_simulation_arguments_are_checked_by_type_and_range(self, call, name):
@@ -332,6 +343,29 @@ class TestEstimatePower:
         assert len({hi - lo for lo, hi in ranges}) == 1
         assert max(hi - lo for lo, hi in ranges) <= _REPLICATE_CHUNK
         assert successes == np.count_nonzero(simulate_batch(scenario, 40, *share).success)
+
+    def test_a_share_walks_its_batches_lazily(self, monkeypatch):
+        """A 2**33-replicate share makes its 2**18 batch ranges one at a time:
+        a list of them would take tens of MB before the first draw."""
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7)
+        walked = {"batches": 0, "next": 0}
+        none_succeed = simulate_batch(scenario, 40, 0, 0)
+
+        def stub_batch(scenario, n_total, start, stop):
+            assert start == walked["next"]
+            walked["batches"] += 1
+            walked["next"] = stop
+            return none_succeed
+
+        monkeypatch.setattr(simulate, "simulate_batch", stub_batch)
+        tracemalloc.start()
+        try:
+            successes = simulate._chunk_task((scenario, 40, 0, 1 << 33))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert successes == 0 and walked == {"batches": 1 << 18, "next": 1 << 33}
+        assert peak < 1 << 20
 
     def test_serial_probe_builds_each_group_once(self, monkeypatch):
         """A serial 10,000-replicate probe passes each (m, a, b) group of its
