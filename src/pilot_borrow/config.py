@@ -44,7 +44,8 @@ from .simulate import (
     DEFAULT_MASTER_SEED,
     GridCell,
     check_integer,
-    check_open_probability,
+    check_positive_finite,
+    check_unit_interval,
     split_arms,
 )
 
@@ -88,10 +89,11 @@ class RecruitmentPlan:
 
     def __post_init__(self):
         for key, values in (("lambda0", self.rates), ("months", self.months)):
-            _require(
-                all(0.0 < v < math.inf for v in values),
-                f"recruitment.{key} entries must be positive and finite",
-            )
+            for value in values:
+                try:
+                    check_positive_finite(value, f"recruitment.{key} entries")
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from exc
             # the CSV names a column by each value at 6 significant digits ({:g})
             _require(
                 len({f"{v:g}" for v in values}) == len(values),
@@ -126,8 +128,8 @@ class RunConfig:
         # that build a RunConfig directly are checked too; DesignScenario runs
         # the same checks on the settings it shares
         try:
-            check_open_probability(self.target_power, "target_power")
-            check_open_probability(self.threshold, "phi (threshold)")
+            check_unit_interval(self.target_power, "target_power")
+            check_unit_interval(self.threshold, "phi (threshold)")
             check_integer(self.replicates, "replicates", 1, _SEED_MASK + 1)
             check_integer(self.workers, "workers", 1, math.inf)
             check_integer(self.master_seed, "master_seed", 0, _SEED_MASK)

@@ -12,7 +12,7 @@ within 4e-9 relative of the exact tail, and past it the error grows with n.
 import math
 from dataclasses import dataclass
 
-from .simulate import check_integer, check_open_probability, check_positive_finite
+from .simulate import check_integer, check_positive_finite, check_unit_interval
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def months_for_probability(model: RecruitmentModel, n: int, target: float) -> fl
     A solution always exists because the probability increases to 1 as the
     window grows.
     """
-    check_open_probability(target, "target probability")
+    check_unit_interval(target, "target probability")
     check_integer(n, "n", 0)
 
     def prob_at(hundredths: int) -> float:

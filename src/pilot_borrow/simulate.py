@@ -6,11 +6,13 @@ range of replicates as arrays: each replicate simulates a pilot study, takes
 a robust mixture prior per arm from the pilot counts, simulates the
 definitive trial, updates both posteriors and applies the superiority
 decision. Power probes count its decisions, and :func:`trace_replicate`
-runs it on a single replicate for inspection. Replicates draw in fixed
-blocks of ``_DRAW_BLOCK``, each from a counter-based Philox stream keyed on
-(master_seed, n_total, block), and a replicate's decision is a pure function
-of (master_seed, n_total, replicate index), so results are bit-identical
-across runs, batch layouts and any number of worker processes.
+runs it on a single replicate for inspection. Replicate i takes its four
+uniforms from one step of a counter-based Philox stream keyed on
+master_seed, at a counter made of i and n_total, and turns each into a
+count through its arm's binomial CDF table. A replicate's decision is thus
+a pure function of (master_seed, n_total, replicate index), so results are
+bit-identical across runs, batch layouts and any number of worker
+processes.
 """
 
 import itertools
@@ -43,9 +45,6 @@ _REPLICATE_CHUNK = 1 << 15
 # shares than ceil(replicates / _POOL_SHARE), and runs on a pool only when it
 # has more than one share.
 _POOL_SHARE = 4096
-# Replicates that share one Philox stream. Part of the stream layout, so
-# changing it changes every draw; batches need not align to it.
-_DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,11 @@ class GridCell:
     prior_weight: float = 0.5
 
     def __post_init__(self):
-        check_open_probability(self.control_rate, "p_C (control_rate)")
-        if not self.risk_ratio > 0.0:
-            raise ValueError(f"rr (risk_ratio) must be positive, got {self.risk_ratio}")
-        if not 0.0 <= self.pilot_fraction < 1.0:
-            raise ValueError(f"pilot_fraction must lie in [0, 1), got {self.pilot_fraction}")
-        if not self.pilot_rr_multiplier > 0.0:
-            raise ValueError(
-                "rr_pilot_multiplier (pilot_rr_multiplier) must be positive, "
-                f"got {self.pilot_rr_multiplier}"
-            )
-        if not 0.0 <= self.prior_weight <= 1.0:
-            raise ValueError(f"w (prior_weight) must lie in [0, 1], got {self.prior_weight}")
+        check_unit_interval(self.control_rate, "p_C (control_rate)")
+        check_positive_finite(self.risk_ratio, "rr (risk_ratio)")
+        check_unit_interval(self.pilot_fraction, "pilot_fraction", "[)")
+        check_positive_finite(self.pilot_rr_multiplier, "rr_pilot_multiplier (pilot_rr_multiplier)")
+        check_unit_interval(self.prior_weight, "w (prior_weight)", "[]")
 
     @property
     def treatment_rate(self) -> float:
@@ -93,10 +85,15 @@ class GridCell:
         return self.treatment_rate <= 1.0 and self.pilot_treatment_rate <= 1.0
 
 
-def check_open_probability(value, name: str):
-    """A real number (not a bool) strictly between 0 and 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+def check_unit_interval(value, name: str, ends: str = "()"):
+    """A real number (not a bool) between 0 and 1, each end left out by a
+    round bracket and kept by a square one: "()" is a probability strictly
+    between 0 and 1, "[)" admits 0, "[]" admits both ends."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        (0.0 <= value if ends[0] == "[" else 0.0 < value)
+        and (value <= 1.0 if ends[1] == "]" else value < 1.0)
+    ):
+        raise ValueError(f"{name} must lie in {ends[0]}0, 1{ends[1]}, got {value}")
 
 
 def check_positive_finite(value, name: str):
@@ -131,7 +128,7 @@ class DesignScenario(GridCell):
                 "infeasible scenario: success probability above 1 (treatment "
                 f"{self.treatment_rate:g}, pilot treatment {self.pilot_treatment_rate:g})"
             )
-        check_open_probability(self.threshold, "threshold")
+        check_unit_interval(self.threshold, "threshold")
         # the replicate-index range that simulate_batch accepts for stop
         check_integer(self.replicates, "replicates", 1, _SEED_MASK + 1)
         check_integer(self.master_seed, "master_seed", 0, _SEED_MASK)
@@ -193,21 +190,22 @@ class ReplicateBatch(NamedTuple):
 def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int) -> ReplicateBatch:
     """Replicates [start, stop) of one design, vectorized.
 
-    Replicate i is row i % _DRAW_BLOCK of its block i // _DRAW_BLOCK, whose
-    draws come from one ``Generator.binomial`` call on the stream
-    ``Philox(key=master_seed, counter=[0, 0, block, n_total])``, with the
-    four arm sizes and rates of ``draws``' columns as a (rows, 4) array.
-    numpy fills it in C order, so a block's first k rows do not depend on
-    how many rows are drawn: a range that starts inside a block draws that
-    block from its first row and drops the rows before ``start``. An empty
-    pilot arm draws 0 without consuming the stream. Every later step is
-    elementwise, so a replicate's values do not depend on the range it runs
-    in. Success is a superiority probability strictly above the threshold.
-    ``n_total`` is checked as in :func:`estimate_power`, and the range must
-    satisfy 0 <= start <= stop <= 2**64.
+    Row r of one ``Generator.random(size=(stop - start, 4))`` call on
+    ``Philox(key=master_seed, counter=[start, 0, 0, n_total])`` holds the
+    four uniforms of replicate start + r: a double takes one 64-bit word,
+    and one step of the Philox counter gives four, so the row is the stream
+    at counter start + r (with carry) whatever range it is drawn in. Each
+    column becomes counts through ``searchsorted(cdf, u, side="right")`` on
+    its arm's binomial CDF table (see :func:`_binomial_cdf`), whose last
+    entry is exactly 1, so an arm of size k draws a count in [0, k] and an
+    empty arm draws 0. Every later step is elementwise, so a replicate's
+    values do not depend on the range it runs in. Success is a superiority
+    probability strictly above the threshold. ``n_total`` is checked as in
+    :func:`estimate_power`, and the range must satisfy
+    0 <= start <= stop <= 2**64.
     """
     check_integer(n_total, "n_total")
-    # the block number of the last replicate fits a 64-bit Philox counter word
+    # the index of the last replicate fits a 64-bit Philox counter word
     check_integer(stop, "stop", 0, _SEED_MASK + 1)
     check_integer(start, "start", 0, stop)
     pilot_control_n, pilot_treatment_n = split_arms(pilot_size(scenario.pilot_fraction, n_total))
@@ -216,14 +214,15 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     p_control = scenario.control_rate
     rates = (p_control, scenario.pilot_treatment_rate, p_control, scenario.treatment_rate)
 
-    first = start // _DRAW_BLOCK
-    blocks = [np.empty((0, 4), dtype=np.int64)]  # an empty range draws nothing
-    for block in range(first, -(-stop // _DRAW_BLOCK)):
-        bitgen = np.random.Philox(key=scenario.master_seed, counter=[0, 0, block, n_total])
-        rows = min(stop - block * _DRAW_BLOCK, _DRAW_BLOCK)
-        blocks.append(np.random.Generator(bitgen).binomial(sizes, rates, size=(rows, 4)))
-    y = np.concatenate(blocks)[start - first * _DRAW_BLOCK:]
-    del blocks  # not held through the superiority sum
+    # a numpy array, since a list entry of 2**63 or more fails numpy's cast to
+    # uint64; an empty range at start = 2**64 draws nothing from counter 0
+    counter = np.array([start & _SEED_MASK, 0, 0, n_total], dtype=np.uint64)
+    bitgen = np.random.Philox(key=scenario.master_seed, counter=counter)
+    u = np.random.Generator(bitgen).random((stop - start, 4))
+    y = np.empty(u.shape, dtype=np.int64)
+    for column, (size, rate) in enumerate(zip(sizes, rates)):
+        y[:, column] = _binomial_cdf(size, rate).searchsorted(u[:, column], side="right")
+    del u  # not held through the superiority sum
 
     control = _posterior_components(
         scenario.prior_weight, y[:, 0], pilot_control_n, y[:, 2], control_n
@@ -277,6 +276,29 @@ def _lgamma_table(top: int) -> np.ndarray:
         grown[size:] = [math.lgamma(k) for k in range(size, top + 1)]
         _lgamma_values = grown
     return _lgamma_values
+
+
+def _binomial_cdf(n: int, p: float) -> np.ndarray:
+    """P(K <= k) for K ~ Binomial(n, p) at k = 0, ..., n, normalized by its
+    last entry, which is therefore exactly 1. Each mass is exp of its log,
+    with the binomial coefficient's ln Γ values from the table, less the
+    largest log mass, so no mass overflows and the tails may underflow to 0.
+    """
+    if n == 0 or p == 1.0:  # no trial, or a treatment rate of 1: all mass at n
+        cdf = np.zeros(n + 1)
+        cdf[n] = 1.0
+        return cdf
+    lgamma = _lgamma_table(n + 1)
+    k = np.arange(n + 1.0)
+    # k ln p + (n - k) ln(1 - p) - ln k! - ln (n - k)!, in place
+    log_mass = k * math.log(p)
+    log_mass += k[::-1] * math.log1p(-p)
+    log_mass -= lgamma[1 : n + 2]
+    log_mass -= lgamma[n + 1 : 0 : -1]
+    log_mass -= log_mass.max()
+    cdf = np.cumsum(np.exp(log_mass, out=log_mass), out=log_mass)
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
@@ -436,7 +458,7 @@ def find_min_sample_size(
     has more than one share (see :func:`_chunk_bounds`), one process pool,
     with one process per share, serves every probe of the search.
     """
-    check_open_probability(target_power, "target_power")
+    check_unit_interval(target_power, "target_power")
     check_integer(workers, "workers", 1, math.inf)
     check_integer(n_lo, "n_lo")
     check_integer(n_hi, "n_hi")

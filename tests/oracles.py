@@ -9,8 +9,8 @@ Gauss-Legendre rule over scipy's incomplete beta, design power from exact
 enumeration or an independent sampler, and Negative-Binomial tails from
 direct pmf summation, Gamma-Poisson sampling, exact rational arithmetic or
 scipy's incomplete beta.
-Replicate draws come from numpy's ``Philox`` and ``Generator``, one scalar
-draw at a time.
+Replicate draws come from numpy's ``Philox`` and ``Generator``, four
+uniforms per replicate, each mapped to a count by scipy's binomial ``ppf``.
 """
 
 import decimal
@@ -21,18 +21,19 @@ import numpy as np
 from scipy import integrate, special, stats
 
 
-def block_stream_draws(master_seed: int, n_total: int, sizes, rates, replicates: int) -> np.ndarray:
-    """Binomial draws of replicates [0, replicates), one row each, in the
-    column order of ``sizes`` and ``rates``. Replicate i is row i % 256 of
-    block i // 256, and a block draws its rows in order, one scalar at a time,
-    from ``Philox(key=master_seed, counter=[0, 0, block, n_total])``."""
-    rows = []
-    for index in range(replicates):
-        if index % 256 == 0:
-            bitgen = np.random.Philox(key=master_seed, counter=[0, 0, index // 256, n_total])
-            rng = np.random.Generator(bitgen)
-        rows.append([rng.binomial(n, p) for n, p in zip(sizes, rates)])
-    return np.array(rows, dtype=np.int64).reshape(-1, len(sizes))
+def philox_binomial_draws(master_seed: int, n_total: int, sizes, rates, indices) -> np.ndarray:
+    """Binomial draws of the replicates ``indices``, one row each, in the
+    column order of ``sizes`` and ``rates``. Replicate i draws four uniforms
+    alone from ``Philox(key=master_seed, counter=[i, 0, 0, n_total])`` and
+    maps each through ``scipy.stats.binom.ppf`` of its arm."""
+    uniforms = []
+    for index in indices:
+        counter = np.array([index, 0, 0, n_total], dtype=np.uint64)
+        bitgen = np.random.Philox(key=master_seed, counter=counter)
+        uniforms.append(np.random.Generator(bitgen).random(len(sizes)))
+    u = np.array(uniforms).reshape(-1, len(sizes))
+    columns = [stats.binom.ppf(u[:, j], n, p) for j, (n, p) in enumerate(zip(sizes, rates))]
+    return np.column_stack(columns).astype(np.int64)
 
 
 def beta_binomial_marginal_quad(y: int, n: int, a: float, b: float) -> float:

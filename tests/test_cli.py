@@ -10,7 +10,7 @@ import pytest
 from pilot_borrow.cli import EXIT_FLAGGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from pilot_borrow.simulate import DesignScenario, find_min_sample_size
 
-from oracles import block_stream_draws
+from oracles import philox_binomial_draws
 
 
 def write_config(tmp_path, **extra):
@@ -421,30 +421,30 @@ class TestReplicateCommand:
                 [],
                 """\
 replicate index=3 seed=42 n_total=206
-pilot draws: control 4/21, treatment 9/20
-prior control:   0.500000 * Beta(1, 1) + 0.500000 * Beta(5, 18)
-prior treatment: 0.500000 * Beta(1, 1) + 0.500000 * Beta(10, 12)
-definitive draws: control 26/103, treatment 42/103
-posterior control:   0.219867 * Beta(27, 78) + 0.780133 * Beta(31, 95)
-posterior treatment: 0.237401 * Beta(43, 62) + 0.762599 * Beta(52, 73)
-updated informative weight: control 0.780133, treatment 0.762599
-superiority probability: 0.996771
-decision: superior
+pilot draws: control 8/21, treatment 7/20
+prior control:   0.500000 * Beta(1, 1) + 0.500000 * Beta(9, 14)
+prior treatment: 0.500000 * Beta(1, 1) + 0.500000 * Beta(8, 14)
+definitive draws: control 31/103, treatment 42/103
+posterior control:   0.263516 * Beta(32, 73) + 0.736484 * Beta(40, 86)
+posterior treatment: 0.241501 * Beta(43, 62) + 0.758499 * Beta(50, 75)
+updated informative weight: control 0.736484, treatment 0.758499
+superiority probability: 0.922921
+decision: not superior
 """,
             ),
             (
                 ["--w", "0.3"],
                 """\
 replicate index=3 seed=42 n_total=206
-pilot draws: control 4/21, treatment 9/20
-prior control:   0.700000 * Beta(1, 1) + 0.300000 * Beta(5, 18)
-prior treatment: 0.700000 * Beta(1, 1) + 0.300000 * Beta(10, 12)
-definitive draws: control 26/103, treatment 42/103
-posterior control:   0.396722 * Beta(27, 78) + 0.603278 * Beta(31, 95)
-posterior treatment: 0.420753 * Beta(43, 62) + 0.579247 * Beta(52, 73)
-updated informative weight: control 0.603278, treatment 0.579247
-superiority probability: 0.995616
-decision: superior
+pilot draws: control 8/21, treatment 7/20
+prior control:   0.700000 * Beta(1, 1) + 0.300000 * Beta(9, 14)
+prior treatment: 0.700000 * Beta(1, 1) + 0.300000 * Beta(8, 14)
+definitive draws: control 31/103, treatment 42/103
+posterior control:   0.455003 * Beta(32, 73) + 0.544997 * Beta(40, 86)
+posterior treatment: 0.426250 * Beta(43, 62) + 0.573750 * Beta(50, 75)
+updated informative weight: control 0.544997, treatment 0.573750
+superiority probability: 0.928761
+decision: not superior
 """,
             ),
         ],
@@ -461,11 +461,11 @@ decision: superior
         assert capsys.readouterr().out == expected
 
 
-    def test_pinned_draws_match_the_block_stream_reference(self):
-        # replicate 3 is row 3 of block 0; arms (21, 20, 103, 103) at rates (0.25, 0.425)
+    def test_pinned_draws_match_the_per_replicate_reference(self):
+        # replicate 3 alone; arms (21, 20, 103, 103) at rates (0.25, 0.425)
         rates = (0.25, 1.7 * 0.25, 0.25, 1.7 * 0.25)
-        draws = block_stream_draws(42, 206, (21, 20, 103, 103), rates, 4)[3]
-        assert list(draws) == [4, 9, 26, 42]
+        draws = philox_binomial_draws(42, 206, (21, 20, 103, 103), rates, [3])[0]
+        assert list(draws) == [8, 7, 31, 42]
 
 
 def test_import_path_is_free_of_scipy():

@@ -153,6 +153,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"recruitment.{key}"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "plan,message",
+        [
+            (dict(rates=(True,)), "recruitment.lambda0 entries must be positive and finite, got True"),
+            (dict(rates=(5.0, "2")), "recruitment.lambda0 entries must be positive and finite, got 2"),
+            (dict(months=(True,)), "recruitment.months entries must be positive and finite, got True"),
+            (dict(months=(0.0,)), "recruitment.months entries must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_recruitment_plan_rejects_bools_and_non_numbers(self, plan, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RecruitmentPlan(**plan)
+
     def test_seed_checked_when_a_config_is_replaced(self):
         config = parse_config(json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}}))
         for seed in (-1, 1 << 64):

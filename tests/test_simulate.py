@@ -25,14 +25,14 @@ from pilot_borrow.simulate import (
     trace_replicate,
 )
 
-from oracles import beta_exceedance_window, block_stream_draws, robust_posterior_weight
+from oracles import beta_exceedance_window, philox_binomial_draws, robust_posterior_weight
 
 FAST = dict(replicates=1500, master_seed=90210)
 
 
 def stream_draws(scenario, n_total, replicates):
     """(pilot control, pilot treatment, control, treatment) draws, one row per
-    replicate, from the independent block-stream reference."""
+    replicate, from the independent per-replicate Philox reference."""
     pilot_c, pilot_t = split_arms(pilot_size(scenario.pilot_fraction, n_total))
     control, treatment = split_arms(n_total)
     sizes = (pilot_c, pilot_t, control, treatment)
@@ -40,7 +40,8 @@ def stream_draws(scenario, n_total, replicates):
         scenario.control_rate, scenario.pilot_treatment_rate, scenario.control_rate,
         scenario.treatment_rate,
     )
-    return block_stream_draws(scenario.master_seed, n_total, sizes, rates, replicates), sizes
+    draws = philox_binomial_draws(scenario.master_seed, n_total, sizes, rates, range(replicates))
+    return draws, sizes
 
 
 def single_component_decisions(scenario, n_total, informative: bool) -> np.ndarray:
@@ -169,6 +170,40 @@ class TestDesignScenario:
         with pytest.raises(ValueError, match=field):
             DesignScenario(**{"control_rate": 0.25, "risk_ratio": 1.7, field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("risk_ratio", True, r"rr \(risk_ratio\) must be positive and finite, got True"),
+            ("risk_ratio", math.inf, r"rr \(risk_ratio\) must be positive and finite, got inf"),
+            ("risk_ratio", "1.7", r"rr \(risk_ratio\) must be positive and finite, got 1.7"),
+            ("risk_ratio", 0, r"rr \(risk_ratio\) must be positive and finite, got 0"),
+            (
+                "pilot_rr_multiplier", True,
+                r"rr_pilot_multiplier \(pilot_rr_multiplier\) must be positive and finite, got True",
+            ),
+            (
+                "pilot_rr_multiplier", -1.0,
+                r"rr_pilot_multiplier \(pilot_rr_multiplier\) must be positive and finite, got -1.0",
+            ),
+            ("pilot_fraction", True, r"pilot_fraction must lie in \[0, 1\), got True"),
+            ("pilot_fraction", False, r"pilot_fraction must lie in \[0, 1\), got False"),
+            ("pilot_fraction", 1.0, r"pilot_fraction must lie in \[0, 1\), got 1.0"),
+            ("pilot_fraction", "0.2", r"pilot_fraction must lie in \[0, 1\), got 0.2"),
+            ("pilot_fraction", math.nan, r"pilot_fraction must lie in \[0, 1\), got nan"),
+            ("prior_weight", True, r"w \(prior_weight\) must lie in \[0, 1\], got True"),
+            ("prior_weight", False, r"w \(prior_weight\) must lie in \[0, 1\], got False"),
+            ("prior_weight", 1.5, r"w \(prior_weight\) must lie in \[0, 1\], got 1.5"),
+            ("prior_weight", -0.1, r"w \(prior_weight\) must lie in \[0, 1\], got -0.1"),
+        ],
+    )
+    def test_cell_fields_reject_bools_and_non_numbers(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridCell(**{"control_rate": 0.25, "risk_ratio": 1.7, field: value})
+
+    def test_cell_fields_keep_their_closed_ends(self):
+        for weight in (0, 1, 0.0, 1.0):
+            assert GridCell(0.25, 2, pilot_fraction=0, prior_weight=weight).prior_weight == weight
+
     def test_error_names_config_key_then_field(self):
         message = r"^p_C \(control_rate\) must lie in \(0, 1\), got 1.5$"
         with pytest.raises(ValueError, match=message):
@@ -193,7 +228,7 @@ class TestReplicateStream:
         scenario = DesignScenario(control_rate=0.3, risk_ratio=1.5, pilot_fraction=0.2, master_seed=123)
         a = simulate_batch(scenario, 100, 0, 8).draws
         b = simulate_batch(scenario, 100, 0, 8).draws
-        c = simulate_batch(scenario, 100, 256, 264).draws  # the next block
+        c = simulate_batch(scenario, 100, 256, 264).draws  # other replicates
         d = simulate_batch(scenario, 102, 0, 8).draws  # another total
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
@@ -210,6 +245,21 @@ class TestReplicateStream:
         part = simulate_batch(scenario, 206, start, stop)
         assert np.array_equal(part.draws, full.draws[start:stop])
         assert np.array_equal(part.superiority, full.superiority[start:stop])
+
+    def test_draws_match_the_per_replicate_reference(self):
+        """Each row is its replicate's own Philox step mapped by scipy's
+        binomial ppf, up to the last index, whose counter carries into the
+        second word."""
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, master_seed=41)
+        last = (1 << 64) - 1
+        sizes = simulate_batch(scenario, 206, 0, 0).sizes
+        rates = (0.25, scenario.treatment_rate, 0.25, scenario.treatment_rate)
+        indices = [0, 1, 255, 256, 999, 1 << 63, last - 1, last]
+        reference = philox_binomial_draws(41, 206, sizes, rates, indices)
+        for index, row in zip(indices, reference):
+            assert np.array_equal(trace_replicate(scenario, 206, index).draws[0], row), index
+        tail = simulate_batch(scenario, 206, last - 1, last + 1)
+        assert np.array_equal(tail.draws, reference[-2:])
 
     def test_trace_is_its_row_of_the_full_batch(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, master_seed=42)
@@ -402,22 +452,22 @@ class TestEstimatePower:
             # no pilot: the two components of an arm coincide, one distinct pair
             (
                 (0.25, 1.3, 0.0), 1130, 10_000,
-                "e9239e6d9a2f082b0e7b7962eb8a12310e95f335b7d9bef6717c5077aa0971c3",
+                "cdaab859463ebae32ab4f0bc810f7d165f3545859786ece9ec3337b21ae40cad",
             ),
             # a pool share: two pairs per call of the grouped CDF
             (
                 (0.06, 1.9, 0.2), 730, 5_000,
-                "7ab67f2d5b14d5a25912a8b9970b1d61b8a924674647236fa8c980cbe1017edd",
+                "96be26be0b0119e7b3fba4ec3521a40df4f6dcaa00a459825107bd0016a14696",
             ),
-            # shapes near 10^4: 1,132 groups over 93 blocks
+            # shapes near 10^4: 1,122 groups over 93 blocks
             (
                 (0.25, 1.05, 0.2), 20_000, 10_000,
-                "56ca62ff986cb7460cd2bdd1f3cdd402b2611710661a89738f3453f8c13b84a4",
+                "b6a769f74ffbb2e812d39b9c64295b682f1a91623008cc4128a01561c552df9e",
             ),
             # every distinct pair in one call
             (
                 (0.25, 1.7, 0.2), 206, 200,
-                "e707676818005a9ae9b945ea6aff05005f8822c41da1a6e694426ddc03f33abb",
+                "dfc3ae1d0a9949c5c59d5291eeb08690d1d1d710b111bd8edfa512e48da7933e",
             ),
         ],
     )
@@ -515,33 +565,32 @@ class TestFindMinSampleSize:
         [
             pytest.param(
                 dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.5, n_hi=400),
-                400, [(400, 121)], id="up-unreachable",
+                400, [(400, 118)], id="up-unreachable",
             ),
             pytest.param(
-                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.5), 582,
-                [(560, 145), (580, 149), (582, 158), (584, 155), (590, 175), (602, 168),
-                 (644, 172)],
+                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.8), 1166,
+                [(1140, 229), (1160, 238), (1164, 239), (1166, 246), (1170, 241), (1182, 252),
+                 (1226, 249), (1312, 253)],
                 id="up-within-factor-table",
             ),
             pytest.param(
                 dict(control_rate=0.25, risk_ratio=1.3, pilot_fraction=0.4,
                      pilot_rr_multiplier=0.5, prior_weight=1.0),
-                dict(target_power=0.8), 5588,
-                [(1026, 64), (1180, 74), (1386, 90), (1692, 109), (2052, 108), (4104, 192),
-                 (5130, 231), (5386, 226), (5514, 238), (5578, 238), (5586, 238), (5588, 248),
-                 (5590, 245), (5594, 263), (5610, 246), (5642, 254), (6156, 247), (8208, 285)],
+                dict(target_power=0.8), 5644,
+                [(1026, 82), (1180, 76), (1386, 102), (1692, 114), (2052, 115), (4104, 227),
+                 (5130, 233), (5642, 238), (5644, 243), (5646, 251), (5650, 246), (5658, 251),
+                 (5674, 250), (5706, 248), (5770, 245), (5898, 243), (6156, 259), (8208, 283)],
                 id="up-past-factor-table",
             ),
             pytest.param(
-                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.8), 1128,
-                [(992, 207), (1066, 226), (1102, 232), (1120, 230), (1124, 227), (1126, 236),
-                 (1128, 240), (1130, 244), (1140, 241)],
+                dict(control_rate=0.25, risk_ratio=1.3), dict(target_power=0.5), 488,
+                [(426, 115), (456, 120), (472, 110), (480, 134), (484, 140), (486, 147),
+                 (488, 156), (560, 161)],
                 id="down-stops-at-failure",
             ),
             pytest.param(
                 dict(control_rate=0.25, risk_ratio=1.7), dict(target_power=0.5, n_lo=100, n_hi=400),
-                110, [(100, 137), (106, 142), (108, 137), (110, 153), (112, 159)],
-                id="down-to-n-lo",
+                110, [(100, 124), (106, 137), (108, 136), (110, 155), (112, 153)], id="down-to-n-lo",
             ),
         ],
     )

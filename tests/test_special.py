@@ -11,13 +11,14 @@ from pilot_borrow import simulate
 from pilot_borrow.recruitment import reg_inc_beta
 from pilot_borrow.simulate import (
     DesignScenario,
+    _binomial_cdf,
     _log_beta_binomial_pmf,
     _posterior_components,
     simulate_batch,
     trace_replicate,
 )
 
-from oracles import beta_binomial_marginal_quad, block_stream_draws
+from oracles import beta_binomial_marginal_quad, philox_binomial_draws
 
 # ln Γ per element from math.lgamma, which raises at the poles 0, -1, -2, ...
 lgamma_each = np.vectorize(math.lgamma, otypes=[np.float64])
@@ -178,6 +179,37 @@ class TestLogGammaTable:
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+class TestBinomialCdf:
+    """The CDF tables that map each uniform to a binomial count."""
+
+    @pytest.mark.parametrize("p", [1e-9, 0.25, 0.78, 0.999999])
+    @pytest.mark.parametrize("n", [0, 1, 71, 8000, 20_000])
+    def test_matches_scipy(self, n, p):
+        from scipy import stats
+
+        table = _binomial_cdf(n, p)
+        assert len(table) == n + 1 and table[-1] == 1.0
+        assert np.all(np.diff(table) >= 0.0)
+        expected = stats.binom.cdf(np.arange(n + 1), n, p)
+        assert np.max(np.abs(table - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.25, 0.999999])
+    def test_half_the_largest_total(self, p):
+        # an arm of 2**19, the largest the model draws: about 1.5e-11 at
+        # p = 0.25, 0.78 and 0.999999, so the bound is 5e-11
+        from scipy import stats
+
+        n = 1 << 19
+        table = _binomial_cdf(n, p)
+        expected = stats.binom.cdf(np.arange(n + 1), n, p)
+        assert table[-1] == 1.0
+        assert np.max(np.abs(table - expected)) <= 5e-11
+
+    def test_certain_success(self):
+        assert list(_binomial_cdf(3, 1.0)) == [0.0, 0.0, 0.0, 1.0]
+        assert list(_binomial_cdf(0, 1.0)) == [1.0]
+
+
 class TestSampleBinomial:
     """The four binomial draws of each replicate, through ``simulate_batch``."""
 
@@ -202,7 +234,7 @@ class TestSampleBinomial:
         assert np.array_equal(simulate_batch(scenario, 100, 10, 20).draws, draws_a[10:20])
         sizes = simulate_batch(scenario, 100, 7, 8).sizes
         probabilities = (0.3, 0.45, 0.3, 0.45)
-        reference = block_stream_draws(scenario.master_seed, 100, sizes, probabilities, 8)
+        reference = philox_binomial_draws(scenario.master_seed, 100, sizes, probabilities, range(8))
         assert list(reference[7]) == list(draws_a[7])
 
     def test_law_of_large_numbers(self):
