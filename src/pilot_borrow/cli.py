@@ -87,7 +87,7 @@ def _float_list(text: str, name: str) -> list[float]:
 def _add_scenario_args(
     parser: argparse.ArgumentParser, pilot_fraction_default: float, *, multiplier: bool, runs: bool
 ):
-    """The design-cell flags, with ``--multiplier`` and the run flags only where they are read."""
+    """The design-cell flags, with ``--multiplier`` and ``--replicates`` only where read."""
     parser.add_argument("--p-c", type=float, required=True, help="control success probability")
     parser.add_argument("--rr", type=float, required=True, help="definitive risk ratio")
     parser.add_argument(
@@ -107,7 +107,6 @@ def _add_scenario_args(
     parser.add_argument("--w", type=float, default=0.5, help="initial informative prior weight")
     if runs:
         parser.add_argument("--replicates", type=int, default=10_000)
-        parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=None, help="master seed (wins over env)")
 
 
@@ -126,7 +125,7 @@ def _scenario_from_args(args) -> DesignScenario:
 
 def _cmd_power(args) -> int:
     scenario = _scenario_from_args(args)
-    estimate = estimate_power(scenario, args.n_total, workers=args.workers)
+    estimate = estimate_power(scenario, args.n_total)
     print(
         f"n_total={estimate.n_total} power={estimate.power:.6f} "
         f"se={estimate.standard_error:.6f} replicates={estimate.replicates} "
@@ -271,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pilot risk-ratio multipliers",
     )
     p_conflict.add_argument("--target-power", type=float, default=0.80)
+    p_conflict.add_argument("--workers", type=int, default=1)
     p_conflict.add_argument("--out", default=None, help="CSV output path")
     p_conflict.set_defaults(func=_cmd_conflict)
 

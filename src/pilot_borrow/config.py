@@ -152,7 +152,10 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
 
 def _as_number(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{name} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the largest double
+        raise ConfigError(f"{name} must fit in a double, got {value}") from None
 
 
 def _as_number_list(value, name: str) -> list[float]:

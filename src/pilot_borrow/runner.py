@@ -40,7 +40,7 @@ class ResultRow:
     seed: int
 
 
-def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
+def _cell_row(cell: GridCell, config: RunConfig) -> ResultRow:
     # the fields that an infeasible row and a searched row share
     shared = dict(
         control_rate=cell.control_rate,
@@ -60,11 +60,7 @@ def _cell_row(cell: GridCell, config: RunConfig, workers: int) -> ResultRow:
         master_seed=config.master_seed,
     )
     result = find_min_sample_size(
-        scenario,
-        target_power=config.target_power,
-        n_lo=SEARCH_N_LO,
-        n_hi=SEARCH_N_HI,
-        workers=workers,
+        scenario, target_power=config.target_power, n_lo=SEARCH_N_LO, n_hi=SEARCH_N_HI
     )
     plan = config.recruitment
     target_n = plan.target_n(result.n_total)
@@ -91,16 +87,16 @@ def _cell_task(args) -> ResultRow:
 def run_grid(config: RunConfig) -> list[ResultRow]:
     """Execute every expanded cell; one row per cell, in config order.
 
-    With several workers the cells run in parallel processes, no more than
-    there are cells; each search then estimates power single-threaded, which
-    keeps per-replicate streams (and therefore every number) independent of
-    the schedule.
+    The package's one level of parallelism: with several workers and several
+    cells, the cells run on a process pool of at most one process per cell;
+    otherwise they run in this process. Every number is a pure function of
+    the cell and the seed, so the rows do not depend on the schedule.
     """
     if config.workers > 1 and len(config.cells) > 1:
-        tasks = [(cell, config, 1) for cell in config.cells]
+        tasks = [(cell, config) for cell in config.cells]
         with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             return list(pool.map(_cell_task, tasks))
-    return [_cell_row(cell, config, config.workers) for cell in config.cells]
+    return [_cell_row(cell, config) for cell in config.cells]
 
 
 def _format_number(value) -> str:

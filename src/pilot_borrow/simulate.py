@@ -11,15 +11,13 @@ uniforms from one step of a counter-based Philox stream keyed on
 master_seed, at a counter made of i and n_total, and turns each into a
 count through its arm's binomial CDF table. A replicate's decision is thus
 a pure function of (master_seed, n_total, replicate index), so results are
-bit-identical across runs, batch layouts and any number of worker
-processes.
+bit-identical across runs and batch layouts, and a grid gives the same
+numbers whether its cells run in one process or on several.
 """
 
 import itertools
 import math
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import sys
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import NamedTuple
@@ -38,13 +36,9 @@ _SEED_MASK = (1 << 64) - 1
 # entries (8 MB).
 _N_TOTAL_MAX = 1 << 20
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
-# Most replicates one simulate_batch call of a share evaluates at once, which
+# Most replicates one simulate_batch call of a probe evaluates at once, which
 # bounds its working memory. Counts do not depend on how replicates are split.
 _REPLICATE_CHUNK = 1 << 15
-# Fewest replicates worth a pool worker: a probe splits into no more equal
-# shares than ceil(replicates / _POOL_SHARE), and runs on a pool only when it
-# has more than one share.
-_POOL_SHARE = 4096
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,8 @@ class GridCell:
 
     @property
     def pilot_treatment_rate(self) -> float:
-        return self.pilot_rr_multiplier * self.risk_ratio * self.control_rate
+        # float first: a product of two integers past the largest double has no float
+        return float(self.pilot_rr_multiplier) * self.risk_ratio * self.control_rate
 
     @property
     def feasible(self) -> bool:
@@ -97,8 +92,11 @@ def check_unit_interval(value, name: str, ends: str = "()"):
 
 
 def check_positive_finite(value, name: str):
-    """A real number (not a bool) above 0 and below infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < math.inf:
+    """A real number (not a bool) above 0 and at most the largest double, so
+    an integer converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0.0 < value <= sys.float_info.max
+    ):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -343,56 +341,29 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     return weights, alphas, betas
 
 
-def _equal_split(start: int, stop: int, parts: int) -> Iterator[tuple[int, int]]:
-    """[start, stop) as ``parts`` contiguous ranges whose sizes differ by at most
-    one, made one at a time, so a share of any size walks its batches in O(1) memory."""
+def _chunk_task(scenario: DesignScenario, n_total: int, start: int, stop: int) -> int:
+    """Successes among replicates [start, stop), run in ceil(len / _REPLICATE_CHUNK)
+    equal, contiguous batches made one at a time, so a range of any size walks
+    its batches in O(1) memory."""
     size = stop - start
-    return ((start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts))
-
-
-def _chunk_task(args) -> int:
-    """Successes among replicates [start, stop) for ``args = (scenario, n_total, start, stop)``,
-    one worker's share, run in ceil(len / _REPLICATE_CHUNK) equal batches."""
-    scenario, n_total, start, stop = args
-    batches = _equal_split(start, stop, -(-(stop - start) // _REPLICATE_CHUNK))
+    parts = -(-size // _REPLICATE_CHUNK)
+    bounds = ((start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts))
     return sum(
         int(np.count_nonzero(simulate_batch(scenario, n_total, lo, hi).success))
-        for lo, hi in batches
+        for lo, hi in bounds
     )
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    """One worker's share each: ``total`` replicates in min(workers,
-    ceil(total / _POOL_SHARE)) contiguous, near-equal, non-empty ranges."""
-    return list(_equal_split(0, total, min(workers, -(-total // _POOL_SHARE))))
-
-
-def _probe_pool(shares: int):
-    """The pool that runs a probe's shares: one process per share, or, for a
-    single share, a null context that yields None and runs it in this process."""
-    return ProcessPoolExecutor(max_workers=shares) if shares > 1 else nullcontext()
-
-
-def estimate_power(
-    scenario: DesignScenario, n_total: int, *, workers: int = 1, pool=None
-) -> PowerEstimate:
+def estimate_power(scenario: DesignScenario, n_total: int) -> PowerEstimate:
     """Fraction of scenario.replicates simulated trials declaring superiority.
 
     Each replicate's decision is a pure function of (master_seed, n_total,
-    index), and the estimate sums those decisions, so it is bit-identical
-    for any worker count and layout. The replicates split into one share per
-    worker (see :func:`_chunk_bounds`). The shares run on ``pool`` when one
-    is given (a search passes the pool it keeps for all its probes),
-    otherwise on a pool opened for this call with one process per share, or
-    in this process when there is one share.
+    index), and the estimate sums those decisions in this process, so it is
+    bit-identical for any batch layout.
     """
     check_integer(n_total, "n_total")
-    check_integer(workers, "workers", 1, math.inf)
     total = scenario.replicates
-    tasks = [(scenario, n_total, lo, hi) for lo, hi in _chunk_bounds(total, workers)]
-    with _probe_pool(len(tasks)) if pool is None else nullcontext(pool) as running:
-        successes = sum((running.map if running else map)(_chunk_task, tasks))
-    power = successes / total
+    power = _chunk_task(scenario, n_total, 0, total) / total
     return PowerEstimate(
         power=power,
         standard_error=math.sqrt(power * (1.0 - power) / total),
@@ -454,9 +425,9 @@ def find_min_sample_size(
     the probed total, so probes at different totals draw independent
     replicates. The power reported for the returned n comes from an
     independent verification seed. When even n_hi falls short the result
-    carries ``achieved=False`` instead of silently truncating. When a probe
-    has more than one share (see :func:`_chunk_bounds`), one process pool,
-    with one process per share, serves every probe of the search.
+    carries ``achieved=False`` instead of silently truncating. Every probe
+    runs in this process. ``workers`` is checked and otherwise changes
+    nothing; it goes once the benchmark's search workload stops passing it.
     """
     check_unit_interval(target_power, "target_power")
     check_integer(workers, "workers", 1, math.inf)
@@ -468,52 +439,49 @@ def find_min_sample_size(
         raise ValueError(f"need n_lo < n_hi, got ({n_lo}, {n_hi})")
 
     powers: dict[int, PowerEstimate] = {}
-    with _probe_pool(len(_chunk_bounds(scenario.replicates, workers))) as pool:
 
-        def passes(n: int) -> bool:
-            # estimate_power by its module name: perfbench/spans.py rebinds it
-            if n not in powers:
-                powers[n] = estimate_power(scenario, n, workers=workers, pool=pool)
-            return powers[n].power >= target_power
+    def passes(n: int) -> bool:
+        # estimate_power by its module name: perfbench/spans.py rebinds it
+        if n not in powers:
+            powers[n] = estimate_power(scenario, n)
+        return powers[n].power >= target_power
 
-        start = _initial_probe(scenario, target_power, n_lo, n_hi)
-        lo_fail = hi_pass = start
-        achieved = True
-        if passes(start):
-            lo_fail = n_lo - 2  # virtual: nothing below n_lo is in range
-            for factor in _DOWN_FACTORS:
-                if hi_pass <= n_lo:
-                    break
-                n = min(_even_clip(start * factor, n_lo, n_hi), hi_pass - 2)
-                if not passes(n):
-                    lo_fail = n
-                    break
-                hi_pass = n
+    start = _initial_probe(scenario, target_power, n_lo, n_hi)
+    lo_fail = hi_pass = start
+    achieved = True
+    if passes(start):
+        lo_fail = n_lo - 2  # virtual: nothing below n_lo is in range
+        for factor in _DOWN_FACTORS:
+            if hi_pass <= n_lo:
+                break
+            n = min(_even_clip(start * factor, n_lo, n_hi), hi_pass - 2)
+            if not passes(n):
+                lo_fail = n
+                break
+            hi_pass = n
+    else:
+        # the factor table, then its last factor doubled again and again
+        factors = itertools.chain(
+            _UP_FACTORS, (_UP_FACTORS[-1] * 2.0**k for k in itertools.count(1))
+        )
+        while not passes(hi_pass):
+            lo_fail = hi_pass
+            if lo_fail >= n_hi:  # even n_hi falls short
+                achieved = False
+                break
+            hi_pass = min(max(_even_clip(start * next(factors), n_lo, n_hi), lo_fail + 2), n_hi)
+
+    while hi_pass - lo_fail > 2:
+        mid = (lo_fail + hi_pass) // 4 * 2  # the even total at or below the midpoint
+        if passes(mid):
+            hi_pass = mid
         else:
-            # the factor table, then its last factor doubled again and again
-            factors = itertools.chain(
-                _UP_FACTORS, (_UP_FACTORS[-1] * 2.0**k for k in itertools.count(1))
-            )
-            while not passes(hi_pass):
-                lo_fail = hi_pass
-                if lo_fail >= n_hi:  # even n_hi falls short
-                    achieved = False
-                    break
-                hi_pass = min(max(_even_clip(start * next(factors), n_lo, n_hi), lo_fail + 2), n_hi)
-
-        while hi_pass - lo_fail > 2:
-            mid = (lo_fail + hi_pass) // 4 * 2  # the even total at or below the midpoint
-            if passes(mid):
-                hi_pass = mid
-            else:
-                lo_fail = mid
-        verify = replace(scenario, master_seed=_mix_seed(scenario.master_seed))
-        verification = estimate_power(verify, hi_pass, workers=workers, pool=pool)
-        probes = tuple(sorted((n, estimate.power) for n, estimate in powers.items()))
+            lo_fail = mid
+    verify = replace(scenario, master_seed=_mix_seed(scenario.master_seed))
     return SampleSizeResult(
         n_total=hi_pass,
         pilot_total=pilot_size(scenario.pilot_fraction, hi_pass),
-        power_at_n=verification,
+        power_at_n=estimate_power(verify, hi_pass),
         achieved=achieved,
-        probes=probes,
+        probes=tuple(sorted((n, estimate.power) for n, estimate in powers.items())),
     )

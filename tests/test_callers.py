@@ -1,5 +1,6 @@
 """Every module-level function and class of the package has a caller, and
-every module-level constant a reader.
+every module-level constant a reader. Only ``runner.py`` names a process pool:
+the cells of a grid are the package's one level of parallelism.
 
 A name counts as called when some module under ``src/pilot_borrow`` refers
 to it (as a name, an attribute or an import) or when the package exports it
@@ -10,6 +11,8 @@ nothing reaches is deleted, not kept for later.
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import pilot_borrow
 
@@ -49,6 +52,11 @@ def read_names(trees):
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
+
+
+def modules_naming(trees, name):
+    """The modules that refer to ``name`` as a name, an attribute or an import."""
+    return sorted(module for module, tree in trees.items() if name in referred_names({module: tree}))
 
 
 def unread_constants(trees):
@@ -98,3 +106,24 @@ def test_check_flags_a_constant_nothing_reads():
         "_READ_CAP = 1 << 20\n_STALE_CAP = 1 << 20\n\ndef size():\n    return _READ_CAP\n"
     )
     assert unread_constants(trees) == ["orphan._STALE_CAP"]
+
+
+def test_only_the_runner_names_a_process_pool():
+    assert modules_naming(module_trees(), "ProcessPoolExecutor") == ["runner"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param("from concurrent.futures import ProcessPoolExecutor\n", id="import"),
+        pytest.param(
+            "import concurrent.futures\n\ndef pool():\n"
+            "    return concurrent.futures.ProcessPoolExecutor(2)\n",
+            id="attribute",
+        ),
+    ],
+)
+def test_check_flags_a_process_pool_outside_the_runner(source):
+    trees = module_trees()
+    trees["orphan"] = ast.parse(source)
+    assert "orphan" in modules_naming(trees, "ProcessPoolExecutor")

@@ -33,7 +33,8 @@ _NEGATIVE_PROBABILITY = [
 ]
 
 # (argv, environment, stdout lines printed before the bad input); "{config}"
-# stands for a valid grid config file
+# stands for a valid grid config file, "{infeasible}" for one whose cells are
+# all infeasible and "{huge_rr}" for one whose rr is a 401-digit integer
 REJECTED = [
     # checked by the library: simulate, recruitment and DesignScenario
     pytest.param(["power", *_CELL, "--n-total", "1"], {}, 0, id="power-n-total"),
@@ -52,7 +53,6 @@ REJECTED = [
     pytest.param(
         ["replicate", *_CELL, "--n-total", "1048578"], {}, 0, id="replicate-n-total-past-bound"
     ),
-    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(["conflict", *_CELL, "--target-power", "1.5"], {}, 0, id="target-power"),
     pytest.param(
         ["conflict", *_CELL, "--target-power", "1.5", "--workers", "2", "--replicates", "200"],
@@ -117,6 +117,8 @@ REJECTED = [
     pytest.param(["grid", "--config", "{config}", "--replicates", "0"], {}, 0, id="grid-replicates"),
     pytest.param(["grid", "--config", "{config}", "--workers", "0"], {}, 0, id="grid-workers"),
     pytest.param(["grid", "--config", "{config}", "--out", ""], {}, 0, id="grid-out-empty"),
+    # a number too large for a double, named by its config field
+    pytest.param(["grid", "--config", "{huge_rr}"], {}, 0, id="grid-rr-past-largest-double"),
     pytest.param(["conflict", *_CELL, "--out", ""], {}, 0, id="conflict-out-empty"),
     pytest.param(
         ["conflict", "--p-c", "0.6", "--rr", "1.3", "--multipliers=-0.5,1.0"], {}, 0, id="multiplier"
@@ -127,6 +129,7 @@ REJECTED = [
     # checked by the command line alone
     pytest.param(_RECRUIT, {}, 0, id="recruit-needs-window"),
     # flags a command does not read are not among its options
+    pytest.param(["power", *_CELL, "--workers", "0", "--n-total", "40"], {}, 0, id="workers"),
     pytest.param(["replicate", *_CELL, "--workers", "-1", "--n-total", "40"], {}, 0, id="workers-rep"),
     pytest.param(
         ["replicate", *_CELL, "--n-total", "40", "--replicates", "5"], {}, 0, id="replicate-replicates"
@@ -154,7 +157,10 @@ def test_rejected_input_exits_1_with_one_error_line(tmp_path, capfd, monkeypatch
     # every cell infeasible, so no cell runs
     infeasible = tmp_path / "infeasible.json"
     infeasible.write_text(json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}}))
-    argv = [arg.replace("{config}", config).replace("{infeasible}", str(infeasible)) for arg in argv]
+    huge_rr = tmp_path / "huge_rr.json"
+    huge_rr.write_text(json.dumps({"scenarios": {"p_C": [0.25], "rr": [10**400]}}))
+    paths = {"{config}": config, "{infeasible}": str(infeasible), "{huge_rr}": str(huge_rr)}
+    argv = [paths.get(arg, arg) for arg in argv]
     code = main(argv)
     out, err = capfd.readouterr()
     assert code == EXIT_VALIDATION
@@ -203,13 +209,16 @@ class TestPowerCommand:
         code = main(["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40"])
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_is_validation_error(self, capsys, workers):
+    @pytest.mark.parametrize("workers", ["0", "-2", "2"])
+    def test_workers_is_a_usage_error(self, capsys, workers):
+        """A probe runs in one process, so power has no --workers flag."""
         code = main(
             ["power", "--p-c", "0.25", "--rr", "1.7", "--n-total", "40", "--workers", workers]
         )
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: unrecognized arguments: --workers {workers}")
 
 
     @pytest.mark.parametrize("rates", [["--rr", "nan"], ["--rr", "1.7", "--multiplier", "nan"]])

@@ -81,6 +81,9 @@ class TestParseConfig:
             ("pilot_fraction", [float("nan")]),
             ("rr_pilot_multiplier", [1.0, 0]),
             ("rr_pilot_multiplier", [float("nan")]),
+            # json.dumps writes the integer literal, which float() cannot convert
+            ("rr", [10**400]),
+            ("p_C", [-(10**400)]),
         ],
     )
     def test_shorthand_entry_rejected_with_field_name(self, key, values):
@@ -165,6 +168,21 @@ class TestParseConfig:
     def test_recruitment_plan_rejects_bools_and_non_numbers(self, plan, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             RecruitmentPlan(**plan)
+
+    @pytest.mark.parametrize("key", ["lambda0", "months"])
+    def test_integer_past_the_largest_double_is_rejected(self, key):
+        block = {"lambda0": [5], "months": [46], key: [10**400]}
+        text = json.dumps({"scenarios": {"p_C": [0.25], "rr": [1.7]}, "recruitment": block})
+        with pytest.raises(ConfigError, match=f"^recruitment.{key} must fit in a double, got 1"):
+            parse_config(text)
+        plan = {"lambda0": "rates", "months": "months"}[key]
+        with pytest.raises(ConfigError, match=f"^recruitment.{key} entries must be positive"):
+            RecruitmentPlan(**{plan: (10**400,)})
+
+    def test_integer_past_the_largest_double_in_a_cell_names_it(self):
+        text = json.dumps({"scenarios": [{"p_C": 0.25, "rr": 1.7, "w": 10**400}]})
+        with pytest.raises(ConfigError, match=r"^scenarios\[0\]\.w must fit in a double"):
+            parse_config(text)
 
     def test_seed_checked_when_a_config_is_replaced(self):
         config = parse_config(json.dumps({"scenarios": {"p_C": [0.6], "rr": [1.9]}}))

@@ -194,6 +194,10 @@ _COUNT_CALLS = (
         (partial(negbin_params, _MODEL, True), "months"),
         (partial(negbin_params, _MODEL, "5"), "months"),
         (partial(months_for_probability, _MODEL, 230, True), "target probability"),
+        # integers past the largest double have no float value
+        (partial(RecruitmentModel, 10**400), "lambda0"),
+        (partial(expected_duration, 10, 10**400), "recruitment rate"),
+        (partial(recruitment_probability, _MODEL, 10, 10**400), "months"),
     ],
 )
 def test_recruitment_arguments_are_checked_by_type_and_range(call, name):

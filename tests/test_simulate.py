@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -12,11 +13,9 @@ from pilot_borrow.config import parse_config
 from pilot_borrow.decision import _exceedance_unique
 from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
-    _POOL_SHARE,
     _REPLICATE_CHUNK,
     DesignScenario,
     GridCell,
-    _chunk_bounds,
     estimate_power,
     find_min_sample_size,
     pilot_size,
@@ -100,6 +99,8 @@ class TestDesignScenario:
             DesignScenario(control_rate=0.25, risk_ratio=1.7, threshold=1.0)
         with pytest.raises(ValueError):
             DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=0)
+        with pytest.raises(ValueError, match="risk_ratio"):  # past the largest double
+            DesignScenario(control_rate=0.25, risk_ratio=10**400)
 
     @pytest.mark.parametrize(
         "setting", [{"master_seed": 7.5}, {"replicates": True}, {"replicates": 300.5}]
@@ -119,11 +120,6 @@ class TestDesignScenario:
     @pytest.mark.parametrize(
         "call,name",
         [
-            (lambda s: estimate_power(s, 40, workers=0), "workers"),
-            (lambda s: estimate_power(s, 40, workers=-3), "workers"),
-            (lambda s: estimate_power(s, 40, workers=2.5), "workers"),
-            (lambda s: estimate_power(replace(s, replicates=5000), 40, workers=2.5), "workers"),
-            (lambda s: estimate_power(s, 40, workers=True), "workers"),
             (lambda s: find_min_sample_size(s, workers=0), "workers"),
             (lambda s: find_min_sample_size(s, workers=2.5), "workers"),
             (lambda s: find_min_sample_size(s, workers=True), "workers"),
@@ -177,6 +173,15 @@ class TestDesignScenario:
             ("risk_ratio", math.inf, r"rr \(risk_ratio\) must be positive and finite, got inf"),
             ("risk_ratio", "1.7", r"rr \(risk_ratio\) must be positive and finite, got 1.7"),
             ("risk_ratio", 0, r"rr \(risk_ratio\) must be positive and finite, got 0"),
+            # an integer past the largest double has no float value
+            (
+                "risk_ratio", 10**400,
+                rf"rr \(risk_ratio\) must be positive and finite, got {10**400}",
+            ),
+            (
+                "pilot_rr_multiplier", 10**400,
+                rf"rr_pilot_multiplier \(pilot_rr_multiplier\) must be positive and finite, got {10**400}",
+            ),
             (
                 "pilot_rr_multiplier", True,
                 r"rr_pilot_multiplier \(pilot_rr_multiplier\) must be positive and finite, got True",
@@ -199,6 +204,12 @@ class TestDesignScenario:
     def test_cell_fields_reject_bools_and_non_numbers(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             GridCell(**{"control_rate": 0.25, "risk_ratio": 1.7, field: value})
+
+    @pytest.mark.parametrize("big", [sys.float_info.max, int(sys.float_info.max), 10**300])
+    def test_rates_up_to_the_largest_double_make_an_infeasible_cell(self, big):
+        cell = GridCell(0.25, big, pilot_rr_multiplier=big)
+        assert not cell.feasible
+        assert cell.pilot_treatment_rate == math.inf
 
     def test_cell_fields_keep_their_closed_ends(self):
         for weight in (0, 1, 0.0, 1.0):
@@ -327,15 +338,11 @@ class TestEstimatePower:
             batch = simulate_batch(scenario, n_total, 0, scenario.replicates)
             assert np.array_equal(batch.draws, draws), pilot_fraction
 
-    def test_bit_identical_across_runs_and_workers(self):
+    def test_bit_identical_across_runs(self):
         scenario = DesignScenario(
             control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=9000, master_seed=77
         )
-        serial = estimate_power(scenario, 80, workers=1)
-        again = estimate_power(scenario, 80, workers=1)
-        parallel = estimate_power(scenario, 80, workers=2)
-        assert serial == again
-        assert serial == parallel
+        assert estimate_power(scenario, 80) == estimate_power(scenario, 80)
 
     @pytest.mark.parametrize("replicates", [1, 4095, 4097, 8193, 10_000])
     def test_any_chunk_layout_counts_the_same_successes(self, replicates):
@@ -345,31 +352,38 @@ class TestEstimatePower:
         )
         full = simulate_batch(scenario, 40, 0, replicates).success
         expected = np.count_nonzero(full)
-        for workers in (1, 2, 3):
-            estimate = estimate_power(scenario, 40, workers=workers)
-            assert round(estimate.power * replicates) == expected, f"workers={workers}"
-            bounds = _chunk_bounds(replicates, workers)
+        assert round(estimate_power(scenario, 40).power * replicates) == expected
+        for parts in (1, 2, 3):
+            bounds = [(replicates * i // parts, replicates * (i + 1) // parts) for i in range(parts)]
+            counts = [simulate._chunk_task(scenario, 40, lo, hi) for lo, hi in bounds]
+            assert sum(counts) == expected, f"parts={parts}"
             chunks = [simulate_batch(scenario, 40, lo, hi).success for lo, hi in bounds]
-            assert np.array_equal(np.concatenate(chunks), full), f"workers={workers}"
+            assert np.array_equal(np.concatenate(chunks), full), f"parts={parts}"
 
     @pytest.mark.parametrize(
-        "replicates,workers,shares",
-        [
-            (1, 1, 1), (1, 5000, 1), (4096, 2, 1), (4097, 2, 2), (4097, 3, 2),
-            (10_000, 1, 1), (10_000, 2, 2), (10_000, 3, 3), (10_000, 5000, 3),
-            (40_000, 1, 1), (40_000, 2, 2), (40_000, 3, 3), (100_000, 2, 2), (100_000, 3, 3),
-        ],
+        "size", [1, 4096, _REPLICATE_CHUNK, _REPLICATE_CHUNK + 1, 2 * _REPLICATE_CHUNK + 1, 100_000]
     )
-    def test_chunks_are_balanced(self, replicates, workers, shares):
-        """One share when serial; with workers, one equal share each, no share
-        empty and no more shares than ceil(replicates / _POOL_SHARE)."""
-        bounds = _chunk_bounds(replicates, workers)
-        assert len(bounds) == shares
-        assert shares == min(workers, -(-replicates // _POOL_SHARE))
-        assert bounds[0][0] == 0 and bounds[-1][1] == replicates
-        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-        sizes = [hi - lo for lo, hi in bounds]
+    def test_batches_are_balanced(self, monkeypatch, size):
+        """A range runs as ceil(size / _REPLICATE_CHUNK) contiguous batches,
+        none empty, none past _REPLICATE_CHUNK, sizes differing by at most one."""
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=size, master_seed=81
+        )
+        ranges = []
+
+        def recording_batch(scenario, n_total, start, stop):
+            ranges.append((start, stop))
+            return simulate_batch(scenario, n_total, start, stop)
+
+        monkeypatch.setattr(simulate, "simulate_batch", recording_batch)
+        successes = simulate._chunk_task(scenario, 40, 3, 3 + size)
+        assert len(ranges) == -(-size // _REPLICATE_CHUNK)
+        assert ranges[0][0] == 3 and ranges[-1][1] == 3 + size
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        sizes = [hi - lo for lo, hi in ranges]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= _REPLICATE_CHUNK
+        assert successes == np.count_nonzero(simulate_batch(scenario, 40, 3, 3 + size).success)
 
     def test_a_share_runs_in_equal_batches(self, monkeypatch):
         """A 100,000-replicate share runs as ceil(100,000 / _REPLICATE_CHUNK)
@@ -386,7 +400,7 @@ class TestEstimatePower:
             return simulate_batch(scenario, n_total, start, stop)
 
         monkeypatch.setattr(simulate, "simulate_batch", recording_batch)
-        successes = simulate._chunk_task((scenario, 40, *share))
+        successes = simulate._chunk_task(scenario, 40, *share)
         assert len(ranges) == -(-100_000 // _REPLICATE_CHUNK)
         assert ranges[0][0] == share[0] and ranges[-1][1] == share[1]
         assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
@@ -410,7 +424,7 @@ class TestEstimatePower:
         monkeypatch.setattr(simulate, "simulate_batch", stub_batch)
         tracemalloc.start()
         try:
-            successes = simulate._chunk_task((scenario, 40, 0, 1 << 33))
+            successes = simulate._chunk_task(scenario, 40, 0, 1 << 33)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -543,22 +557,6 @@ class TestFindMinSampleSize:
             assert parallel.probes == serial.probes
             assert parallel.power_at_n == serial.power_at_n
 
-    def test_one_pool_serves_the_whole_search(self, monkeypatch):
-        opened = []
-
-        class CountingPool(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                opened.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-        scenario = DesignScenario(
-            control_rate=0.25, risk_ratio=2.4, replicates=_POOL_SHARE + 1, master_seed=316
-        )
-        result = find_min_sample_size(scenario, target_power=0.80, workers=2)
-        assert len(result.probes) > 1
-        assert opened == [2]
-
 
     @pytest.mark.parametrize(
         "cell,search,n_total,successes",
@@ -643,27 +641,27 @@ def recording_pool(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
     return opened
 
 
 class TestPoolSize:
-    """No pool asks for more processes than it has tasks."""
+    """No pool asks for more processes than it has tasks, and only a grid of
+    several cells opens one."""
 
     def test_probe(self, recording_pool):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, replicates=10_000)
-        serial = estimate_power(scenario, 40)
-        assert estimate_power(scenario, 40, workers=5000) == serial
-        assert recording_pool == [3]
+        estimate = estimate_power(scenario, 40)
+        successes = np.count_nonzero(simulate_batch(scenario, 40, 0, 10_000).success)
+        assert round(estimate.power * 10_000) == successes
+        assert recording_pool == []
 
     def test_search(self, recording_pool):
-        scenario = DesignScenario(
-            control_rate=0.25, risk_ratio=2.4, replicates=_POOL_SHARE + 1, master_seed=316
-        )
+        scenario = DesignScenario(control_rate=0.25, risk_ratio=2.4, replicates=4097, master_seed=316)
         result = find_min_sample_size(scenario, target_power=0.80, workers=5000)
         assert len(result.probes) > 1
-        assert recording_pool == [2]
+        assert result == find_min_sample_size(scenario, target_power=0.80)
+        assert recording_pool == []
 
     def test_grid(self, recording_pool):
         doc = {
@@ -674,6 +672,12 @@ class TestPoolSize:
         rows = runner.run_grid(parse_config(json.dumps(doc)))
         assert len(rows) == 3
         assert recording_pool == [3]
+
+    def test_one_cell_grid(self, recording_pool):
+        doc = {"scenarios": {"p_C": [0.3], "rr": [2.2], "pilot_fraction": [0.2]}, "replicates": 200}
+        config = parse_config(json.dumps(doc))
+        assert runner.run_grid(replace(config, workers=5000)) == runner.run_grid(config)
+        assert recording_pool == []
 
 
 class TestAcceptedDomain:
