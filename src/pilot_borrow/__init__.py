@@ -2,7 +2,9 @@
 
 Quantifies how folding pilot-study results into a robust Beta-mixture prior
 changes the required sample size, expected duration, and recruitment
-feasibility of the definitive trial, via deterministic parallel Monte Carlo.
+feasibility of the definitive trial, via deterministic Monte Carlo: a power
+probe and a sample-size search run in one process, and only a grid's cells
+may run in parallel.
 """
 
 from .config import ConfigError, GridCell, RecruitmentPlan, RunConfig, parse_config

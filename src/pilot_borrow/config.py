@@ -39,12 +39,12 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .recruitment import check_months, check_rate
 from .simulate import (
     _SEED_MASK,
     DEFAULT_MASTER_SEED,
     GridCell,
     check_integer,
-    check_positive_finite,
     check_unit_interval,
     split_arms,
 )
@@ -88,10 +88,12 @@ class RecruitmentPlan:
     rate_interpretation: str = "total"
 
     def __post_init__(self):
-        for key, values in (("lambda0", self.rates), ("months", self.months)):
+        for key, values, check in (
+            ("lambda0", self.rates, check_rate), ("months", self.months, check_months)
+        ):
             for value in values:
                 try:
-                    check_positive_finite(value, f"recruitment.{key} entries")
+                    check(value, f"recruitment.{key} entries")
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
             # the CSV names a column by each value at 6 significant digits ({:g})

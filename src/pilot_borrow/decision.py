@@ -46,8 +46,9 @@ _MIN_SD = 4.0
 _TAIL_MASS = 1e-17
 # Most terms one (terms x groups) block holds, which bounds working memory.
 _BLOCK = 1 << 14
-# Most rows one call of the grouped CDF takes in the superiority sum, which
-# bounds the memory of its grouping.
+# Most rows in flight: a probe's batch of replicates (simulate._chunk_task)
+# and one call of the grouped CDF in the superiority sum, which bounds the
+# memory of both.
 _CALL_ROWS = 1 << 14
 
 # Not used by the package: perfbench/spans.py wraps these two names for its
@@ -238,12 +239,12 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
 
     A pair whose four shape columns equal an earlier pair's reads that
     pair's values (without a pilot the two components of an arm coincide).
-    The other pairs' rows go to the grouped CDF pair after pair, in as few
-    calls of whole pairs as keep each within _CALL_ROWS rows, the pairs
-    spread evenly over them, or one pair in slices of _CALL_ROWS rows when a
-    pair alone is larger. A pair's rows are one run of equal (m, a_y +
-    b_y) for the grouped CDF, and a row's value depends on its four shapes
-    only, so the split changes no value.
+    The other pairs' rows go to the grouped CDF pair after pair,
+    max(1, _CALL_ROWS // n) whole pairs to a call: a batch of n <= _CALL_ROWS
+    replicates sends no call past _CALL_ROWS rows, and a larger batch sends
+    each pair as one call of n rows. A pair's rows are one run of equal
+    (m, a_y + b_y) for the grouped CDF, and a row's value depends on its
+    four shapes only, so the packing changes no value.
     """
     n, k_t = a_t.shape
     k_c = a_c.shape[1]
@@ -251,8 +252,7 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     pairs = [(i, j) for i in range(k_t) for j in range(k_c)]
     distinct = [(i, j) for i, j in pairs if same_t[i] == i and same_c[j] == j]
     values = {}
-    calls = -(-len(distinct) // max(1, _CALL_ROWS // max(n, 1)))
-    per_call = -(-len(distinct) // calls)
+    per_call = max(1, _CALL_ROWS // max(n, 1))
     for first in range(0, len(distinct), per_call):
         group = distinct[first : first + per_call]
         t, c = (list(v) for v in zip(*group))
@@ -260,10 +260,7 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
         rows = np.column_stack(
             [x[:, cols].T.reshape(-1) for x, cols in ((a_t, t), (b_t, t), (a_c, c), (b_c, c))]
         )
-        found = np.empty(rows.shape[0])
-        for lo in range(0, rows.shape[0], _CALL_ROWS):
-            found[lo : lo + _CALL_ROWS] = _exceedance_unique(rows[lo : lo + _CALL_ROWS])
-        values.update(zip(group, found.reshape(len(group), n)))
+        values.update(zip(group, _exceedance_unique(rows).reshape(len(group), n)))
     total = np.zeros(n, dtype=np.float64)
     for i, j in pairs:
         total += w_t[:, i] * w_c[:, j] * values[same_t[i], same_c[j]]

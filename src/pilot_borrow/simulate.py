@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decision import mixture_superiority_batch
+from .decision import _CALL_ROWS, mixture_superiority_batch
 
 DEFAULT_MASTER_SEED = 20260808
 # The even definitive totals a sample-size search covers by default.
@@ -36,9 +36,6 @@ _SEED_MASK = (1 << 64) - 1
 # entries (8 MB).
 _N_TOTAL_MAX = 1 << 20
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
-# Most replicates one simulate_batch call of a probe evaluates at once, which
-# bounds its working memory. Counts do not depend on how replicates are split.
-_REPLICATE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -342,11 +339,13 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
 
 
 def _chunk_task(scenario: DesignScenario, n_total: int, start: int, stop: int) -> int:
-    """Successes among replicates [start, stop), run in ceil(len / _REPLICATE_CHUNK)
-    equal, contiguous batches made one at a time, so a range of any size walks
-    its batches in O(1) memory."""
+    """Successes among replicates [start, stop), run in ceil(len / _CALL_ROWS)
+    contiguous batches whose sizes differ by at most one, made one at a time,
+    so a range of any size walks its batches in O(1) memory. A batch of at
+    most _CALL_ROWS replicates sends no superiority call past _CALL_ROWS
+    rows. Counts do not depend on how replicates are split."""
     size = stop - start
-    parts = -(-size // _REPLICATE_CHUNK)
+    parts = -(-size // _CALL_ROWS)
     bounds = ((start + size * i // parts, start + size * (i + 1) // parts) for i in range(parts))
     return sum(
         int(np.count_nonzero(simulate_batch(scenario, n_total, lo, hi).success))

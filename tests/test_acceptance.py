@@ -17,6 +17,7 @@ dropped because no design reproduces them: exact power of this cell is
 unknown.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -380,6 +381,11 @@ PAPER_GRID_CONFIG = """
 """
 
 
+# sha256 of the CSV that the 10k PAPER_GRID_CONFIG grid writes. It moves only
+# with a change that alters numbers on purpose and lists every changed cell.
+PAPER_GRID_SHA256 = "2ce0e08db9b1c578027ed0dd50cc5eadbc84fe92eecff1a0af4f2325b285c546"
+
+
 def test_accept_grid_determinism(tmp_path):
     config = parse_config(PAPER_GRID_CONFIG)
     rows_serial = run_grid(replace(config, workers=1))
@@ -389,11 +395,13 @@ def test_accept_grid_determinism(tmp_path):
     emit_results(rows_serial, str(path_serial), recruitment=config.recruitment)
     emit_results(rows_parallel, str(path_parallel), recruitment=config.recruitment)
     identical = path_serial.read_bytes() == path_parallel.read_bytes()
-    ok = identical and len(rows_serial) == 45
+    digest = hashlib.sha256(path_serial.read_bytes()).hexdigest()
+    ok = identical and len(rows_serial) == 45 and digest == PAPER_GRID_SHA256
     report(
         "grid_determinism",
         ok,
-        f"grid of {len(rows_serial)} rows byte-identical across 1 and 2 workers: {identical}",
+        f"grid of {len(rows_serial)} rows byte-identical across 1 and 2 workers: {identical}; "
+        f"sha256 {digest}",
     )
 
 

@@ -34,7 +34,9 @@ _NEGATIVE_PROBABILITY = [
 
 # (argv, environment, stdout lines printed before the bad input); "{config}"
 # stands for a valid grid config file, "{infeasible}" for one whose cells are
-# all infeasible and "{huge_rr}" for one whose rr is a 401-digit integer
+# all infeasible, "{huge_rr}" for one whose rr is a 401-digit integer, and
+# "{huge_lambda0}" and "{long_window}" for the valid one with a recruitment
+# rate or window past its bound
 REJECTED = [
     # checked by the library: simulate, recruitment and DesignScenario
     pytest.param(["power", *_CELL, "--n-total", "1"], {}, 0, id="power-n-total"),
@@ -95,6 +97,21 @@ REJECTED = [
     ),
     pytest.param([*_RECRUIT, "--months", "inf"], {}, 0, id="months-inf"),
     pytest.param(["duration", "--n", "100", "--rates", "inf"], {}, 0, id="duration-rate-inf"),
+    # 2 * lambda0 overflows, or ln Γ(2 * lambda0 + n) does
+    pytest.param(
+        ["recruit", "--lambda0", "1e308", "--n", "230", "--months", "46"], {}, 0,
+        id="lambda0-shape-overflow",
+    ),
+    pytest.param(
+        ["recruit", "--lambda0", "1.3e305", "--n", "230", "--solve", "0.5"], {}, 0,
+        id="lambda0-lgamma-overflow-solve",
+    ),
+    pytest.param(["grid", "--config", "{huge_lambda0}"], {}, 0, id="grid-lambda0-lgamma-overflow"),
+    pytest.param(["grid", "--config", "{long_window}"], {}, 0, id="grid-months-past-bound"),
+    # n / rate overflows
+    pytest.param(["duration", "--n", "230", "--rates", "1e-306"], {}, 0, id="duration-rate-small"),
+    # a window past the longest one
+    pytest.param([*_RECRUIT, "--months", "46,1e9"], {}, 1, id="months-past-bound"),
     # a recruit count runs to the largest definitive total, 2**20
     pytest.param(
         ["recruit", "--lambda0", "5", "--n", "1048577", "--months", "46"], {}, 0,
@@ -160,12 +177,52 @@ def test_rejected_input_exits_1_with_one_error_line(tmp_path, capfd, monkeypatch
     huge_rr = tmp_path / "huge_rr.json"
     huge_rr.write_text(json.dumps({"scenarios": {"p_C": [0.25], "rr": [10**400]}}))
     paths = {"{config}": config, "{infeasible}": str(infeasible), "{huge_rr}": str(huge_rr)}
+    for name, recruitment in (
+        ("huge_lambda0", {"lambda0": [1.3e305]}), ("long_window", {"months": [1e9]})
+    ):
+        (tmp_path / name).mkdir()
+        paths[f"{{{name}}}"] = str(write_config(tmp_path / name, recruitment=recruitment))
     argv = [paths.get(arg, arg) for arg in argv]
     code = main(argv)
     out, err = capfd.readouterr()
     assert code == EXIT_VALIDATION
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert len(out.splitlines()) == printed
+
+
+# also in REJECTED's terms: exit 1, one error line, nothing printed
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # ln Γ(2 * lambda0 + n) overflows
+        (
+            ["recruit", "--lambda0", "1.3e305", "--n", "230", "--months", "46"],
+            "lambda0 must lie in [1e-300, 1.27e+305], got 1.3e+305",
+        ),
+        # n / rate overflows
+        (
+            ["duration", "--n", "230", "--rates", "1e-320"],
+            "recruitment rate must lie in [1e-300, 1.27e+305], got 1e-320",
+        ),
+        ([*_RECRUIT, "--months", "1e9"], "months must be at most 1e+08, got 1000000000.0"),
+        # the window that reaches it, about 6.5e150 months, is out of range
+        (
+            ["recruit", "--lambda0", "0.001", "--n", "1", "--solve", "0.5"],
+            "target probability must be reached within 1e+08 months, got 0.5",
+        ),
+    ],
+)
+def test_recruitment_bounds_name_their_input(capfd, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capfd.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_solve_at_the_largest_rate_finishes(capfd):
+    argv = ["recruit", "--lambda0", "1.27e305", "--n", "1048576", "--solve", "0.99"]
+    assert main(argv) == EXIT_OK
+    out, err = capfd.readouterr()
+    assert err == "" and out.endswith(": 0.01\n")
 
 
 @pytest.mark.parametrize("argv", [_NEGATIVE_PROBABILITY, ["duration", "--n", str(10**400)]])

@@ -169,6 +169,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             RecruitmentPlan(**plan)
 
+    _RATES = "recruitment.lambda0 entries"
+
+    @pytest.mark.parametrize(
+        "plan,message",
+        [
+            # ln Γ(2 lambda0 + n) overflows, or n / rate does
+            (dict(rates=(5.0, 1.3e305)), f"{_RATES} must lie in [1e-300, 1.27e+305], got 1.3e+305"),
+            (dict(rates=(1e-320,)), f"{_RATES} must lie in [1e-300, 1.27e+305], got 1e-320"),
+            (dict(months=(46.0, 1e9)), "recruitment.months entries must be at most 1e+08, got 1000000000.0"),
+        ],
+    )
+    def test_recruitment_plan_bounds_rates_and_windows(self, plan, message):
+        with pytest.raises(ConfigError) as raised:
+            RecruitmentPlan(**plan)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("key", ["lambda0", "months"])
     def test_integer_past_the_largest_double_is_rejected(self, key):
         block = {"lambda0": [5], "months": [46], key: [10**400]}

@@ -374,8 +374,9 @@ def one_call_superiority(w_t, a_t, b_t, w_c, a_c, b_c):
 
 
 class TestPairCalls:
-    """Pairs go to the grouped CDF in calls of at most _CALL_ROWS rows, and a
-    pair equal to an earlier one is evaluated once; no value moves."""
+    """Pairs go to the grouped CDF whole, as many to a call as keep it within
+    _CALL_ROWS rows (one to a call in a larger batch), and a pair equal to
+    an earlier one is evaluated once; no value moves."""
 
     @pytest.mark.parametrize("replicates", [200, 5_000, 10_000, 20_000])
     @pytest.mark.parametrize(
@@ -408,8 +409,8 @@ class TestPairCalls:
         assert np.array_equal(superiority, reference)
         assert np.array_equal(superiority, batch.superiority)
         assert sum(calls) == distinct * replicates
-        assert max(calls) <= decision._CALL_ROWS
         if replicates <= decision._CALL_ROWS:  # whole pairs, as many as fit in a call
+            assert max(calls) <= decision._CALL_ROWS
             assert len(calls) == -(-distinct // (decision._CALL_ROWS // replicates))
-        else:  # each pair in slices
-            assert len(calls) == distinct * -(-replicates // decision._CALL_ROWS)
+        else:  # one whole pair to a call
+            assert calls == [replicates] * distinct

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -6,6 +8,9 @@ import numpy as np
 import pytest
 
 from pilot_borrow.recruitment import (
+    MONTHS_MAX,
+    RATE_MAX,
+    RATE_MIN,
     RecruitmentModel,
     expected_duration,
     months_for_probability,
@@ -198,6 +203,16 @@ _COUNT_CALLS = (
         (partial(RecruitmentModel, 10**400), "lambda0"),
         (partial(expected_duration, 10, 10**400), "recruitment rate"),
         (partial(recruitment_probability, _MODEL, 10, 10**400), "months"),
+        # 2 * lambda0 overflows, or ln Γ(2 * lambda0 + n) does
+        (partial(RecruitmentModel, 1e308), "lambda0"),
+        (partial(RecruitmentModel, 1.3e305), "lambda0"),
+        # n / rate overflows
+        (partial(expected_duration, 230, 1e-320), "recruitment rate"),
+        (partial(expected_duration, 230, 1e-306), "recruitment rate"),
+        (partial(negbin_params, _MODEL, 1e9), "months"),
+        (partial(recruitment_probability, _MODEL, 10, 4e16), "months"),
+        # the window that reaches it, about 6.5e150 months, is out of range
+        (partial(months_for_probability, RecruitmentModel(0.001), 1, 0.5), "target probability"),
     ],
 )
 def test_recruitment_arguments_are_checked_by_type_and_range(call, name):
@@ -226,6 +241,24 @@ def test_recruit_count_runs_to_the_largest_definitive_total():
     assert months_for_probability(_MODEL, n, 0.5) > 0.0
 
 
+def test_rates_run_between_their_bounds():
+    assert math.isfinite(math.lgamma(2.0 * RATE_MAX + (1 << 20)))
+    assert recruitment_probability(RecruitmentModel(RATE_MAX), 1 << 20, 0.01) == 1.0
+    assert expected_duration(1 << 20, RATE_MIN) == (1 << 20) / RATE_MIN < math.inf
+    assert recruitment_probability(RecruitmentModel(RATE_MIN), 0, MONTHS_MAX) == 1.0
+
+
+@pytest.mark.parametrize("lambda0", [0.001, 0.1, 2.0, 5.0, 100.0])
+def test_one_recruit_against_the_closed_form(lambda0):
+    """P(N >= 1) = 1 - p^(2 lambda0), p = 2 / (2 + m), to 4e-9 relative over
+    windows up to the longest; 1 - p rounds to 1 at 4e16 months."""
+    model = RecruitmentModel(lambda0)
+    for m in (0.01, 1.0, 46.0, 1e4, 1e6, MONTHS_MAX):
+        exact = -math.expm1(-2.0 * lambda0 * math.log1p(m / 2.0))
+        value = recruitment_probability(model, 1, m)
+        assert abs(value - exact) <= 4e-9 * exact, (m, value, exact)
+
+
 class TestMonthsForProbability:
     def test_zero_target_hits_resolution_floor(self):
         assert months_for_probability(RecruitmentModel(5.0), 0, 0.9) == 0.01
@@ -245,6 +278,15 @@ class TestMonthsForProbability:
         above, se_above = gamma_poisson_survival_mc(5.0, 230, months + 0.25, 1_000_000, seed=98)
         assert below <= 0.83 + 3 * se_below
         assert above >= 0.83 - 3 * se_above
+
+    def test_reaches_the_longest_window(self):
+        model = RecruitmentModel(0.001)
+        target = recruitment_probability(model, 1, MONTHS_MAX)
+        months = months_for_probability(model, 1, target)
+        assert MONTHS_MAX / 2 < months <= MONTHS_MAX
+        assert recruitment_probability(model, 1, months) >= target
+        with pytest.raises(ValueError, match=re.escape(f"must be reached within {MONTHS_MAX:g} months")):
+            months_for_probability(model, 1, math.nextafter(target, 1.0))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,9 @@ import pytest
 
 from pilot_borrow import decision, runner, simulate
 from pilot_borrow.config import parse_config
-from pilot_borrow.decision import _exceedance_unique
+from pilot_borrow.decision import _CALL_ROWS, _exceedance_unique
 from pilot_borrow.runner import SEARCH_N_HI
 from pilot_borrow.simulate import (
-    _REPLICATE_CHUNK,
     DesignScenario,
     GridCell,
     estimate_power,
@@ -361,11 +360,12 @@ class TestEstimatePower:
             assert np.array_equal(np.concatenate(chunks), full), f"parts={parts}"
 
     @pytest.mark.parametrize(
-        "size", [1, 4096, _REPLICATE_CHUNK, _REPLICATE_CHUNK + 1, 2 * _REPLICATE_CHUNK + 1, 100_000]
+        "size", [1, 4096, _CALL_ROWS, _CALL_ROWS + 1, 2 * _CALL_ROWS + 1, 100_000]
     )
     def test_batches_are_balanced(self, monkeypatch, size):
-        """A range runs as ceil(size / _REPLICATE_CHUNK) contiguous batches,
-        none empty, none past _REPLICATE_CHUNK, sizes differing by at most one."""
+        """A range runs as ceil(size / _CALL_ROWS) contiguous batches (7 for
+        100,000), none empty, none past _CALL_ROWS, sizes differing by at most
+        one, which count what one batch counts."""
         scenario = DesignScenario(
             control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=size, master_seed=81
         )
@@ -377,39 +377,38 @@ class TestEstimatePower:
 
         monkeypatch.setattr(simulate, "simulate_batch", recording_batch)
         successes = simulate._chunk_task(scenario, 40, 3, 3 + size)
-        assert len(ranges) == -(-size // _REPLICATE_CHUNK)
+        assert len(ranges) == -(-size // _CALL_ROWS)
         assert ranges[0][0] == 3 and ranges[-1][1] == 3 + size
         assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
         sizes = [hi - lo for lo, hi in ranges]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= _REPLICATE_CHUNK
+        assert max(sizes) <= _CALL_ROWS
         assert successes == np.count_nonzero(simulate_batch(scenario, 40, 3, 3 + size).success)
 
-    def test_a_share_runs_in_equal_batches(self, monkeypatch):
-        """A 100,000-replicate share runs as ceil(100,000 / _REPLICATE_CHUNK)
-        equal, contiguous batches, which count what one batch counts."""
+    def test_a_probe_sends_no_call_past_the_row_bound(self, monkeypatch):
+        """A probe of 2 * _CALL_ROWS + 1 replicates with a pilot makes no
+        superiority call above _CALL_ROWS rows, and counts what one batch
+        over the whole range counts."""
+        size = 2 * _CALL_ROWS + 1
         scenario = DesignScenario(
-            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=100_000,
-            master_seed=80,
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=size,
+            master_seed=82,
         )
-        share = (5, 100_005)
-        ranges = []
+        expected = np.count_nonzero(simulate_batch(scenario, 40, 0, size).success)
+        calls = []
+        exceedance_unique = decision._exceedance_unique
 
-        def recording_batch(scenario, n_total, start, stop):
-            ranges.append((start, stop))
-            return simulate_batch(scenario, n_total, start, stop)
+        def counted(rows):
+            calls.append(rows.shape[0])
+            return exceedance_unique(rows)
 
-        monkeypatch.setattr(simulate, "simulate_batch", recording_batch)
-        successes = simulate._chunk_task(scenario, 40, *share)
-        assert len(ranges) == -(-100_000 // _REPLICATE_CHUNK)
-        assert ranges[0][0] == share[0] and ranges[-1][1] == share[1]
-        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
-        assert len({hi - lo for lo, hi in ranges}) == 1
-        assert max(hi - lo for lo, hi in ranges) <= _REPLICATE_CHUNK
-        assert successes == np.count_nonzero(simulate_batch(scenario, 40, *share).success)
+        monkeypatch.setattr(decision, "_exceedance_unique", counted)
+        estimate = estimate_power(scenario, 40)
+        assert calls and max(calls) <= _CALL_ROWS
+        assert round(estimate.power * size) == expected
 
     def test_a_share_walks_its_batches_lazily(self, monkeypatch):
-        """A 2**33-replicate share makes its 2**18 batch ranges one at a time:
+        """A 2**33-replicate share makes its 2**19 batch ranges one at a time:
         a list of them would take tens of MB before the first draw."""
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7)
         walked = {"batches": 0, "next": 0}
@@ -428,7 +427,7 @@ class TestEstimatePower:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert successes == 0 and walked == {"batches": 1 << 18, "next": 1 << 33}
+        assert successes == 0 and walked == {"batches": 1 << 19, "next": 1 << 33}
         assert peak < 1 << 20
 
     def test_serial_probe_builds_each_group_once(self, monkeypatch):
