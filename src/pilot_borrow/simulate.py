@@ -9,8 +9,10 @@ decision. Power probes count its decisions, and :func:`trace_replicate`
 runs it on a single replicate for inspection. Replicate i takes its four
 uniforms from one step of a counter-based Philox stream keyed on
 master_seed, at a counter made of i and n_total, and turns each into a
-count through its arm's binomial CDF table. A replicate's decision is thus
-a pure function of (master_seed, n_total, replicate index), so results are
+count through its arm's binomial CDF table, read through a guide table in
+large batches. The weight update reads each replicate's log marginal
+likelihoods from tables indexed by count. A replicate's decision is thus a
+pure function of (master_seed, n_total, replicate index), so results are
 bit-identical across runs and batch layouts, and a grid gives the same
 numbers whether its cells run in one process or on several.
 """
@@ -36,6 +38,9 @@ _SEED_MASK = (1 << 64) - 1
 # entries (8 MB).
 _N_TOTAL_MAX = 1 << 20
 _VERIFY_SALT = 0xA5A5_5A5A_0F0F_F0F0
+# Fewest uniforms that _draw_counts reads through a guide table: below about
+# 2,000 a binary search per uniform costs less than building the guide.
+_GUIDE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -190,13 +195,15 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     four uniforms of replicate start + r: a double takes one 64-bit word,
     and one step of the Philox counter gives four, so the row is the stream
     at counter start + r (with carry) whatever range it is drawn in. Each
-    column becomes counts through ``searchsorted(cdf, u, side="right")`` on
-    its arm's binomial CDF table (see :func:`_binomial_cdf`), whose last
+    column becomes counts, the number of entries at or below each uniform,
+    in its arm's binomial CDF table (see :func:`_binomial_cdf`), whose last
     entry is exactly 1, so an arm of size k draws a count in [0, k] and an
-    empty arm draws 0. Every later step is elementwise, so a replicate's
-    values do not depend on the range it runs in. Success is a superiority
-    probability strictly above the threshold. ``n_total`` is checked as in
-    :func:`estimate_power`, and the range must satisfy
+    empty arm draws 0. :func:`_draw_counts` reads that number through a
+    guide table in large batches and gives the same counts as a binary
+    search. Every later step is elementwise or reads a table entry by count,
+    so a replicate's values do not depend on the range it runs in. Success
+    is a superiority probability strictly above the threshold. ``n_total``
+    is checked as in :func:`estimate_power`, and the range must satisfy
     0 <= start <= stop <= 2**64.
     """
     check_integer(n_total, "n_total")
@@ -216,7 +223,7 @@ def simulate_batch(scenario: DesignScenario, n_total: int, start: int, stop: int
     u = np.random.Generator(bitgen).random((stop - start, 4))
     y = np.empty(u.shape, dtype=np.int64)
     for column, (size, rate) in enumerate(zip(sizes, rates)):
-        y[:, column] = _binomial_cdf(size, rate).searchsorted(u[:, column], side="right")
+        y[:, column] = _draw_counts(_binomial_cdf(size, rate), u[:, column])
     del u  # not held through the superiority sum
 
     control = _posterior_components(
@@ -240,19 +247,6 @@ def trace_replicate(scenario: DesignScenario, n_total: int, index: int) -> Repli
     """Replicate ``index`` alone: :func:`simulate_batch` on [index, index + 1)."""
     check_integer(index, "index", 0, _SEED_MASK)
     return simulate_batch(scenario, n_total, index, index + 1)
-
-
-def _log_beta_binomial_pmf(lgamma, y, n, a, b):
-    """ln P(Y = y) for Y ~ BetaBinomial(n, a, b), elementwise and unchecked,
-    with ln Γ from ``lgamma``, which maps a number or an array of them.
-
-    This is the log marginal likelihood of y successes in n Bernoulli trials
-    under a Beta(a, b) prior, binomial coefficient included.
-    """
-    log_choose = lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1)
-    log_beta_post = lgamma(a + y) + lgamma(b + n - y) - lgamma(a + b + n)
-    log_beta_prior = lgamma(a) + lgamma(b) - lgamma(a + b)
-    return log_choose + log_beta_post - log_beta_prior
 
 
 # ln Γ(k) at k = 0, 1, ..., len - 1 (entry 0 is the pole), from math.lgamma.
@@ -296,6 +290,31 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf
 
 
+def _draw_counts(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")``: the number of entries of a CDF
+    table (nondecreasing, last entry exactly 1) at or below each uniform in
+    [0, 1).
+
+    From _GUIDE_ROWS uniforms up it reads a guide table. With B buckets of
+    [0, 1), a power of two from rows / 16 to rows / 8 and at most 8192, u * B
+    and b / B are exact, and guide[b] counts the entries at or below b / B;
+    a uniform in bucket b = floor(u * B) thus has guide[b] <= count <=
+    guide[b + 1]. Where at most one entry falls in its bucket, the count is
+    guide[b] plus one if that entry is at or below u. The few uniforms in
+    wider buckets (the tails) are searched.
+    """
+    if len(u) < _GUIDE_ROWS:
+        return cdf.searchsorted(u, side="right")
+    buckets = min(1 << (len(u).bit_length() - 4), 8192)
+    guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+    bucket = (u * buckets).astype(np.intp)
+    first = guide[bucket]
+    counts = first + (cdf[first] <= u)
+    wide = np.flatnonzero((np.diff(guide) > 1)[bucket])
+    counts[wide] = cdf.searchsorted(u[wide], side="right")
+    return counts
+
+
 def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     """Robust-MAP posterior (weights, alphas, betas) of one arm across replicates.
 
@@ -310,17 +329,45 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     cannot overflow, and a prior weight of 0 or 1 stays exactly degenerate.
     Every shape is one plus a count, as the exact superiority sum requires.
     Each output has shape (m, 2), vague component first.
+
+    Each term of a log marginal likelihood depends on the definitive count,
+    the pilot count or their sum alone. So each term is built once per count
+    over the range of counts present, with the operations and the order a
+    per-replicate formula would use, and each replicate gathers its entries:
+    the same bits for work that scales with the range, not the batch.
     """
     # Every log-gamma argument is an integer from 1 to 2 + n_pilot + n_def (a, b >= 1,
     # 0 <= y <= n): the table is sized once and read unchecked.
-    lgamma = _lgamma_table(2 + n_pilot + n_def).__getitem__
+    lgamma = _lgamma_table(2 + n_pilot + n_def)
     k_pilot = y_pilot.astype(np.intp, copy=False)
     k_def = y_def.astype(np.intp, copy=False)
+    # the range of counts present (empty for an empty batch), and every sum
+    # of a pilot and a definitive count in those ranges
+    p_lo, p_hi = int(k_pilot.min(initial=n_pilot)), int(k_pilot.max(initial=0))
+    d_lo, d_hi = int(k_def.min(initial=n_def)), int(k_def.max(initial=0))
+    p = np.arange(p_lo, p_hi + 1)
+    d = np.arange(d_lo, d_hi + 1)
+    s = np.arange(p_lo + d_lo, p_hi + d_hi + 1)
+    n = n_pilot + n_def
     log_w_vague = math.log1p(-weight) if weight < 1.0 else -math.inf
     log_w_informative = math.log(weight) if weight > 0.0 else -math.inf
-    log_post_vague = log_w_vague + _log_beta_binomial_pmf(lgamma, k_def, n_def, 1, 1)
-    log_post_informative = log_w_informative + _log_beta_binomial_pmf(
-        lgamma, k_def, n_def, 1 + k_pilot, 1 + n_pilot - k_pilot
+    # ln P(y_def) under Beta(a, b) is ln C(n_def, y_def), plus
+    # ln B(a + y_def, b + n_def - y_def), less ln B(a, b), each term one entry
+    # per count. The vague component has a = b = 1, and ln B(1, 1) is exactly
+    # 0, so it is not subtracted. The informative one has a = 1 + y_pilot and
+    # b = 1 + n_pilot - y_pilot: its ln B(a + y_def, ...) is a function of
+    # s = y_pilot + y_def and its ln B(a, b) one of y_pilot.
+    log_fact_d = lgamma[d + 1]
+    log_fact_rest = lgamma[n_def + 1 - d]
+    log_choose = lgamma[n_def + 1] - log_fact_d - log_fact_rest
+    vague = log_w_vague + (log_choose + (log_fact_d + log_fact_rest - lgamma[n_def + 2]))
+    log_beta_post = lgamma[1 + s] + lgamma[1 + n - s] - lgamma[2 + n]
+    log_beta_prior = lgamma[1 + p] + lgamma[1 + n_pilot - p] - lgamma[2 + n_pilot]
+    at_p = k_pilot - p_lo
+    at_d = k_def - d_lo
+    log_post_vague = vague[at_d]
+    log_post_informative = log_w_informative + (
+        log_choose[at_d] + log_beta_post[at_p + at_d] - log_beta_prior[at_p]
     )
     y_pilot = y_pilot.astype(np.float64)
     y_def = y_def.astype(np.float64)
