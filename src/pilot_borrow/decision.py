@@ -9,8 +9,11 @@ so X > Y exactly when fewer than a_x of them fall below Y, and
 Rows with the same (m, a_y, b_y) read one cumulative pmf. In the model, one
 component pair's rows share m and a_y + b_y, so within a pair the group is
 a_y, one plus the control count, and the cut the treatment count: rows group
-by one integer key, and each block of groups becomes a table that its rows
-read in one gather. Duplicate rows read the same entry; none is collapsed.
+by one integer key, a count, and where the keys are dense an array indexed
+by key holds each key's group. Each block of groups becomes a table that
+its rows read in one gather; when a call's groups fit one block, every row
+reads the one table in place, and no row is sorted. Duplicate rows read the
+same entry; none is collapsed.
 
 Each group's pmf is built by the ratio recurrence
 
@@ -46,6 +49,9 @@ _MIN_SD = 4.0
 _TAIL_MASS = 1e-17
 # Most terms one (terms x groups) block holds, which bounds working memory.
 _BLOCK = 1 << 14
+# Widest span of group keys per row for which a call finds its groups through
+# a dense array indexed by key, which then costs O(rows) time and memory.
+_KEY_SPAN = 4
 # Most rows in flight: a probe's batch of replicates (simulate._chunk_task)
 # and one call of the grouped CDF in the superiority sum, which bounds the
 # memory of both.
@@ -74,23 +80,32 @@ def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
     The one entry to the exact sum. Rows need not be distinct, and a row's
     value depends on its four shapes only, not on the other rows of the call.
     """
-    if not np.all(np.isfinite(rows) & (rows >= 1.0) & (rows == np.floor(rows))):
-        raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
+    # rows less their floors are 0 at integers, NaN at an infinity or a NaN
+    # (inf - inf is not a warning here) and positive elsewhere
+    with np.errstate(invalid="ignore"):
+        fraction = np.floor(rows)
+        np.subtract(rows, fraction, out=fraction)
+        if not (rows.min(initial=1.0) >= 1.0 and fraction.max(initial=0.0) == 0.0):
+            raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
     a_x, b_x, a_y, b_y = rows.T
-    return np.clip(_beta_binomial_cdf(a_x - 1.0, a_x + b_x - 1.0, a_y, b_y), 0.0, 1.0)
+    values = _beta_binomial_cdf(a_x - 1.0, a_x + b_x - 1.0, a_y, b_y)
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     """P(K <= k), K ~ BetaBinomial(m, a, b), per row of integers with m, a, b >= 1.
 
     A run is a stretch of rows with equal (m, a + b). A row's group key is
-    its run's offset plus a less the least a of the run; a stable argsort of
-    the keys in the smallest unsigned dtype that holds them (numpy radix-sorts
-    8- and 16-bit keys) finds the groups in O(rows) memory, however sparse a
-    run. Groups go in order of window width, in blocks of at most _BLOCK
-    terms, and widened groups go round again. Each round sorts the rows by
-    their group's place, so that a block's rows are one slice that reads its
-    table once it is built.
+    its run's offset plus a less the least a of the run, so keys count up
+    from 0 and sort the groups by run, then by a. Where the keys span at
+    most _KEY_SPAN per row, a dense array indexed by key gives each key its
+    group (see :func:`_key_groups`); sparser keys are grouped by np.unique.
+    Either way the groups come out in key order, in O(rows) memory. Groups
+    go in blocks of at most _BLOCK terms, and widened groups go round again.
+    When all the groups fit one block, each row reads its group's column of
+    the one table in one gather. Otherwise the round's groups go in order of
+    window width and the rows are sorted by their group's place, so that a
+    block's rows are one slice that reads its table once it is built.
     """
     k, m, a, b = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (k, m, a, b))
     size = k.shape[0]
@@ -105,11 +120,10 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     end = np.cumsum(np.maximum.reduceat(a, run_start) - least + 1.0)
     if end[-1] > 2.0**53:  # larger keys would round onto each other
         raise ValueError("the shapes a of the runs span more than 2**53 keys in all")
-    key = (np.append(0.0, end[:-1]) - least)[np.cumsum(new_run) - 1] + a
-    _, heads, group, count = np.unique(
-        key.astype(np.min_scalar_type(int(end[-1]) - 1)),
-        return_index=True, return_inverse=True, return_counts=True,
-    )
+    offset = np.append(0.0, end[:-1]) - least
+    key = np.repeat(offset, np.diff(run_start, append=size)) + a
+    group, heads = _key_groups(key, int(end[-1]))
+    groups = heads.shape[0]
     gm, ga, gb, s = m[heads], a[heads], b[heads], s[heads]
     anchor = np.floor(gm * ga / s)
     sd = np.sqrt(gm * ga * gb * (s + gm) / (s * s * (s + 1.0)))
@@ -118,38 +132,79 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     below = np.minimum(anchor, np.ceil(sd * np.maximum(_WINDOW_SD - _SKEW_SD * skew, _MIN_SD)))
     above = np.minimum(gm - anchor, np.ceil(sd * np.maximum(_WINDOW_SD + _SKEW_SD * skew, _MIN_SD)))
     below, above = below.astype(np.int64), above.astype(np.int64)
-    pending = np.arange(gm.shape[0])
+    pending = np.arange(groups)
     while pending.size:
         widths = below[pending] + above[pending] + 1
-        by_width = np.argsort(widths, kind="stable")
-        pending, widths = pending[by_width], widths[by_width]
-        # the rows of groups that are not pending take the last place
-        place = np.full(gm.shape[0], pending.size, dtype=np.min_scalar_type(pending.size))
-        place[pending] = np.arange(pending.size)
-        bounds = np.concatenate([[0], np.cumsum(count[pending])])
-        rows = np.argsort(place[group], kind="stable")[: bounds[-1]]
-        local = place[group[rows]].astype(np.intp)
+        if pending.size == groups and groups * int(widths.max()) <= _BLOCK:
+            # Every group in one table, whose column g the rows of group g
+            # read. Windows only widen, so every earlier round fitted too and
+            # left the groups in key order.
+            blocks = [(slice(None), slice(None), group)]
+        else:
+            by_width = np.argsort(widths, kind="stable")
+            pending, widths = pending[by_width], widths[by_width]
+            blocks = _row_blocks(widths, pending, group, groups)
         m_, a_, b_, j0, lo, hi = (v[pending] for v in (gm, ga, gb, anchor, below, above))
         up_edge, down_edge, total = np.empty((3, pending.size))
-        start = 0
-        while start < pending.size:
-            # widths ascend, so the last group of a block is its widest
-            ahead = widths[start : start + max(1, _BLOCK // int(widths[start]))]
-            fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK
-            stop = start + max(1, int(np.count_nonzero(fits)))
-            block, span = slice(start, stop), slice(bounds[start], bounds[stop])
+        for block, at, column in blocks:
             table, origin, up_edge[block], down_edge[block], total[block] = _window_block(
                 m_[block], a_[block], b_[block], j0[block], lo[block], hi[block]
             )
-            at, g = rows[span], local[span] - start
-            lane = np.clip(k[at] - origin[g], 0.0, table.shape[0] - 1.0).astype(np.intp)
-            values[at] = table[lane, g] / table[-1, g]
-            start = stop
+            # a cut reads lane clip(cut - origin) of its column, by flat index
+            entry = np.clip(k[at] - origin[column], 0.0, table.shape[0] - 1.0).astype(np.intp)
+            entry *= table.shape[1]
+            entry += column
+            values[at] = table.ravel()[entry] / table[-1][column]
         new_hi = _widen(up_edge, m_, a_, b_, j0, hi, total)
         new_lo = _widen(down_edge, m_, b_, a_, m_ - j0, lo, total)
         below[pending], above[pending] = new_lo, new_hi
         pending = pending[(new_lo != lo) | (new_hi != hi)]
     return values
+
+
+def _key_groups(key, span):
+    """Each row's group, numbered in key order, and the first row of each group.
+
+    Keys are integers in [0, span). Up to _KEY_SPAN keys per row, the group of
+    a key is the count of keys present below it, read from a dense array of
+    the span; sparser keys are sorted by np.unique, whose memory does not
+    grow with the span.
+    """
+    if span <= _KEY_SPAN * key.shape[0]:
+        key = key.astype(np.intp)
+        first = np.full(span, key.shape[0], dtype=np.intp)
+        np.minimum.at(first, key, np.arange(key.shape[0]))
+        present = first < key.shape[0]
+        return (np.cumsum(present) - 1)[key], first[present]
+    _, heads, group = np.unique(
+        key.astype(np.min_scalar_type(span - 1)), return_index=True, return_inverse=True
+    )
+    return group, heads
+
+
+def _row_blocks(widths, pending, group, groups):
+    """(groups of the block, its rows, their columns) per block of a round.
+
+    The pending groups go in blocks of at most _BLOCK terms in their order,
+    by ascending width. The rows are sorted by their group's place in the
+    round, so a block's rows are one slice; the rows of the other groups
+    take the last place.
+    """
+    place = np.full(groups, pending.size, dtype=np.min_scalar_type(pending.size))
+    place[pending] = np.arange(pending.size)
+    per_group = np.bincount(group, minlength=groups)
+    bounds = np.concatenate([[0], np.cumsum(per_group[pending])])
+    rows = np.argsort(place[group], kind="stable")[: bounds[-1]]
+    local = place[group[rows]].astype(np.intp)
+    start = 0
+    while start < pending.size:
+        # widths ascend, so the last group of a block is its widest
+        ahead = widths[start : start + max(1, _BLOCK // int(widths[start]))]
+        fits = np.arange(1, ahead.size + 1) * ahead <= _BLOCK
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        span = slice(bounds[start], bounds[stop])
+        yield slice(start, stop), rows[span], local[span] - start
+        start = stop
 
 
 def _window_block(m, a, b, anchor, below, above):
@@ -222,8 +277,11 @@ def _first_equal(a, b) -> list[int]:
     """Per mixture component (column), the first component with the same shapes in a and b."""
     return [
         next(
-            e for e in range(col + 1)
-            if np.array_equal(a[:, e], a[:, col]) and np.array_equal(b[:, e], b[:, col])
+            (
+                e for e in range(col)
+                if np.array_equal(a[:, e], a[:, col]) and np.array_equal(b[:, e], b[:, col])
+            ),
+            col,
         )
         for col in range(a.shape[1])
     ]
@@ -255,13 +313,18 @@ def mixture_superiority_batch(w_t, a_t, b_t, w_c, a_c, b_c) -> np.ndarray:
     per_call = max(1, _CALL_ROWS // max(n, 1))
     for first in range(0, len(distinct), per_call):
         group = distinct[first : first + per_call]
-        t, c = (list(v) for v in zip(*group))
-        # (a_x, b_x, a_y, b_y) of the group's pairs, pair after pair
-        rows = np.column_stack(
-            [x[:, cols].T.reshape(-1) for x, cols in ((a_t, t), (b_t, t), (a_c, c), (b_c, c))]
-        )
+        # (a_x, b_x, a_y, b_y) of the group's pairs, pair after pair, each a
+        # contiguous column of the call's (rows, 4) array
+        columns = np.empty((4, len(group), n))
+        for pair, (i, j) in enumerate(group):
+            for column, shapes, component in zip(columns, (a_t, b_t, a_c, b_c), (i, i, j, j)):
+                column[pair] = shapes[:, component]
+        rows = columns.reshape(4, -1).T
         values.update(zip(group, _exceedance_unique(rows).reshape(len(group), n)))
     total = np.zeros(n, dtype=np.float64)
+    term = np.empty(n)
     for i, j in pairs:
-        total += w_t[:, i] * w_c[:, j] * values[same_t[i], same_c[j]]
-    return np.clip(total, 0.0, 1.0)
+        np.multiply(w_t[:, i], w_c[:, j], out=term)
+        term *= values[same_t[i], same_c[j]]
+        total += term
+    return np.clip(total, 0.0, 1.0, out=total)

@@ -379,9 +379,13 @@ def _posterior_components(weight, y_pilot, n_pilot, y_def, n_def):
     raw_informative = np.exp(log_post_informative - peak)
     total = raw_vague + raw_informative
 
-    weights = np.column_stack([raw_vague / total, raw_informative / total])
-    alphas = np.column_stack([1.0 + y_def, a_informative + y_def])
-    betas = np.column_stack([1.0 + n_def - y_def, b_informative + n_def - y_def])
+    weights, alphas, betas = (np.empty((y_def.shape[0], 2)) for _ in range(3))
+    np.divide(raw_vague, total, out=weights[:, 0])
+    np.divide(raw_informative, total, out=weights[:, 1])
+    np.add(1.0, y_def, out=alphas[:, 0])
+    np.add(a_informative, y_def, out=alphas[:, 1])
+    np.subtract(1.0 + n_def, y_def, out=betas[:, 0])
+    np.subtract(b_informative + n_def, y_def, out=betas[:, 1])
     return weights, alphas, betas
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,65 @@ class TestRowDedup:
         rows[[1, 4], 2] = shape
         with pytest.raises(ValueError):
             _exceedance_unique(rows)
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("shape", [np.nan, np.inf, -np.inf, 0.0, 0.5, 2.5])
+    def test_one_bad_shape_in_the_last_row_of_a_large_call_raises(self, shape, column):
+        rows = random_count_rows(np.random.default_rng(751), 10_000)
+        rows[-1, column] = shape
+        with pytest.raises(ValueError, match="positive integers"):
+            _exceedance_unique(rows)
+
+    def test_sparse_keys_are_grouped_in_memory_bounded_by_the_rows(self):
+        """100 runs of two rows whose a_y lie 2**20 apart span about 10**8
+        keys; the call groups them without an array of that span."""
+        rows = np.array(
+            [
+                [a_x, 3.0, a_y, s - a_y]
+                for run in range(100)
+                for a_x, s in [(1.0 + run % 5, 2.0**20 + 2.0 + run)]
+                for a_y in (1.0, 2.0**20 + 1.0)
+            ]
+        )
+        one_at_a_time = np.array([exceedance(*row) for row in rows])
+        tracemalloc.start()
+        try:
+            values = _exceedance_unique(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == one_at_a_time.tobytes()
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_and_sorted_key_groups_give_the_same_bits(self, monkeypatch, seed):
+        """A real batch's rows, shuffled rows and duplicates, grouped by the
+        dense key map and by np.unique."""
+        rng = np.random.default_rng(761 + seed)
+        scenario = DesignScenario(
+            control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=2_000,
+            master_seed=761 + seed,
+        )
+        batch = simulate_batch(scenario, 206 + 300 * seed, 0, scenario.replicates)
+        (_, a_t, b_t), (_, a_c, b_c) = batch.treatment, batch.control
+        pairs = [
+            np.column_stack([a_t[:, i], b_t[:, i], a_c[:, j], b_c[:, j]])
+            for i in range(2)
+            for j in range(2)
+        ]
+        rows = np.vstack([*pairs, with_duplicates(rng, random_count_rows(rng, 3_000, 400), 500)])
+        dense_map = []
+        key_groups = decision._key_groups
+
+        def recorded(key, span):
+            dense_map.append(span <= decision._KEY_SPAN * key.shape[0])
+            return key_groups(key, span)
+
+        monkeypatch.setattr(decision, "_key_groups", recorded)
+        dense = _exceedance_unique(rows)
+        monkeypatch.setattr(decision, "_KEY_SPAN", 0)
+        assert _exceedance_unique(rows).tobytes() == dense.tobytes()
+        assert dense_map == [True, False]
 
 
 def one_call_superiority(w_t, a_t, b_t, w_c, a_c, b_c):

@@ -28,6 +28,31 @@ from oracles import beta_exceedance_window, philox_binomial_draws, robust_poster
 FAST = dict(replicates=1500, master_seed=90210)
 
 
+# Four simulated batches and the sha256 of their superiority values.
+GOLDEN_SUPERIORITY = [
+    # no pilot: the two components of an arm coincide, one distinct pair
+    (
+        (0.25, 1.3, 0.0), 1130, 10_000,
+        "cdaab859463ebae32ab4f0bc810f7d165f3545859786ece9ec3337b21ae40cad",
+    ),
+    # a pool share: two pairs per call of the grouped CDF
+    (
+        (0.06, 1.9, 0.2), 730, 5_000,
+        "96be26be0b0119e7b3fba4ec3521a40df4f6dcaa00a459825107bd0016a14696",
+    ),
+    # shapes near 10^4: 1,122 groups over 93 blocks
+    (
+        (0.25, 1.05, 0.2), 20_000, 10_000,
+        "b6a769f74ffbb2e812d39b9c64295b682f1a91623008cc4128a01561c552df9e",
+    ),
+    # every distinct pair in one call
+    (
+        (0.25, 1.7, 0.2), 206, 200,
+        "dfc3ae1d0a9949c5c59d5291eeb08690d1d1d710b111bd8edfa512e48da7933e",
+    ),
+]
+
+
 def stream_draws(scenario, n_total, replicates):
     """(pilot control, pilot treatment, control, treatment) draws, one row per
     replicate, from the independent per-replicate Philox reference."""
@@ -459,31 +484,7 @@ class TestEstimatePower:
         assert set(built) == expected
 
     @pytest.mark.parametrize("narrow", [False, True])
-    @pytest.mark.parametrize(
-        "cell,n_total,replicates,digest",
-        [
-            # no pilot: the two components of an arm coincide, one distinct pair
-            (
-                (0.25, 1.3, 0.0), 1130, 10_000,
-                "cdaab859463ebae32ab4f0bc810f7d165f3545859786ece9ec3337b21ae40cad",
-            ),
-            # a pool share: two pairs per call of the grouped CDF
-            (
-                (0.06, 1.9, 0.2), 730, 5_000,
-                "96be26be0b0119e7b3fba4ec3521a40df4f6dcaa00a459825107bd0016a14696",
-            ),
-            # shapes near 10^4: 1,122 groups over 93 blocks
-            (
-                (0.25, 1.05, 0.2), 20_000, 10_000,
-                "b6a769f74ffbb2e812d39b9c64295b682f1a91623008cc4128a01561c552df9e",
-            ),
-            # every distinct pair in one call
-            (
-                (0.25, 1.7, 0.2), 206, 200,
-                "dfc3ae1d0a9949c5c59d5291eeb08690d1d1d710b111bd8edfa512e48da7933e",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("cell,n_total,replicates,digest", GOLDEN_SUPERIORITY)
     def test_golden_superiority_bits(self, monkeypatch, cell, n_total, replicates, digest, narrow):
         """The superiority values of four batches keep their bits. First
         windows of one standard deviation, widened by the tail check until it
@@ -498,6 +499,30 @@ class TestEstimatePower:
         )
         batch = simulate_batch(scenario, n_total, 0, replicates)
         assert hashlib.sha256(batch.superiority.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # every round of groups in blocks of one group, or of 2**10 terms
+            pytest.param({"_BLOCK": 1}, id="one-group-blocks"),
+            pytest.param({"_BLOCK": 1 << 10}, id="small-blocks"),
+            # every round of groups in one table, read by one gather
+            pytest.param({"_BLOCK": 1 << 40}, id="one-block"),
+            # groups found by np.unique in place of the dense key map
+            pytest.param({"_KEY_SPAN": 0}, id="sorted-keys"),
+        ],
+    )
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("cell,n_total,replicates,digest", GOLDEN_SUPERIORITY)
+    def test_golden_superiority_bits_in_any_layout(
+        self, monkeypatch, cell, n_total, replicates, digest, narrow, layout
+    ):
+        """The golden bits hold however the groups are laid out in blocks and
+        however they are found: each table column and each row's read
+        depend on the group alone."""
+        for name, value in layout.items():
+            monkeypatch.setattr(decision, name, value)
+        self.test_golden_superiority_bits(monkeypatch, cell, n_total, replicates, digest, narrow)
 
     def test_standard_error_formula(self):
         scenario = DesignScenario(control_rate=0.25, risk_ratio=1.7, **FAST)
