@@ -87,7 +87,11 @@ def _float_list(text: str, name: str) -> list[float]:
 def _add_scenario_args(
     parser: argparse.ArgumentParser, pilot_fraction_default: float, *, multiplier: bool, runs: bool
 ):
-    """The design-cell flags, with ``--multiplier`` and ``--replicates`` only where read."""
+    """The design-cell flags, with ``--multiplier`` and ``--replicates`` only where read.
+
+    An omitted flag takes the library's default, read from DesignScenario
+    when the parser is built.
+    """
     parser.add_argument("--p-c", type=float, required=True, help="control success probability")
     parser.add_argument("--rr", type=float, required=True, help="definitive risk ratio")
     parser.add_argument(
@@ -100,13 +104,20 @@ def _add_scenario_args(
         parser.add_argument(
             "--multiplier",
             type=float,
-            default=1.0,
+            default=DesignScenario.pilot_rr_multiplier,
             help="pilot risk-ratio multiplier (1 = no conflict)",
         )
-    parser.add_argument("--phi", type=float, default=0.975, help="posterior decision threshold")
-    parser.add_argument("--w", type=float, default=0.5, help="initial informative prior weight")
+    parser.add_argument(
+        "--phi", type=float, default=DesignScenario.threshold, help="posterior decision threshold"
+    )
+    parser.add_argument(
+        "--w",
+        type=float,
+        default=DesignScenario.prior_weight,
+        help="initial informative prior weight",
+    )
     if runs:
-        parser.add_argument("--replicates", type=int, default=10_000)
+        parser.add_argument("--replicates", type=int, default=DesignScenario.replicates)
     parser.add_argument("--seed", type=int, default=None, help="master seed (wins over env)")
 
 
@@ -115,7 +126,8 @@ def _scenario_from_args(args) -> DesignScenario:
         control_rate=args.p_c,
         risk_ratio=args.rr,
         pilot_fraction=args.pilot_fraction,
-        pilot_rr_multiplier=getattr(args, "multiplier", 1.0),  # conflict sets it per cell
+        # conflict sets it per cell
+        pilot_rr_multiplier=getattr(args, "multiplier", DesignScenario.pilot_rr_multiplier),
         prior_weight=args.w,
         threshold=args.phi,
         replicates=getattr(args, "replicates", 1),  # replicate runs one, by index
@@ -250,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_power = sub.add_parser("power", help="estimate power for one design cell")
-    _add_scenario_args(p_power, 0.0, multiplier=True, runs=True)
+    _add_scenario_args(p_power, DesignScenario.pilot_fraction, multiplier=True, runs=True)
     p_power.add_argument("--n-total", type=int, required=True, help="definitive total size")
     p_power.set_defaults(func=_cmd_power)
 
@@ -269,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.8,0.85,0.9,0.95,1.0",
         help="comma-separated pilot risk-ratio multipliers",
     )
-    p_conflict.add_argument("--target-power", type=float, default=0.80)
-    p_conflict.add_argument("--workers", type=int, default=1)
+    p_conflict.add_argument("--target-power", type=float, default=RunConfig.target_power)
+    p_conflict.add_argument("--workers", type=int, default=RunConfig.workers)
     p_conflict.add_argument("--out", default=None, help="CSV output path")
     p_conflict.set_defaults(func=_cmd_conflict)
 
@@ -289,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recruit.set_defaults(func=_cmd_recruit)
 
     p_replicate = sub.add_parser("replicate", help="debug one simulated replicate")
-    _add_scenario_args(p_replicate, 0.0, multiplier=True, runs=False)
+    _add_scenario_args(p_replicate, DesignScenario.pilot_fraction, multiplier=True, runs=False)
     p_replicate.add_argument("--n-total", type=int, required=True)
     p_replicate.add_argument("--index", type=int, default=0, help="replicate index")
     p_replicate.set_defaults(func=_cmd_replicate)

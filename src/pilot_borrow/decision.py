@@ -10,10 +10,10 @@ Rows with the same (m, a_y, b_y) read one cumulative pmf. In the model, one
 component pair's rows share m and a_y + b_y, so within a pair the group is
 a_y, one plus the control count, and the cut the treatment count: rows group
 by one integer key, a count, and where the keys are dense an array indexed
-by key holds each key's group. Each block of groups becomes a table that
-its rows read in one gather; when a call's groups fit one block, every row
-reads the one table in place, and no row is sorted. Duplicate rows read the
-same entry; none is collapsed.
+by key holds each key's group; elsewhere each row is its own group. Each
+block of groups becomes a table that its rows read in one gather; when a
+call's groups fit one block, every row reads the one table in place, and no
+row is sorted. No duplicate row is collapsed.
 
 Each group's pmf is built by the ratio recurrence
 
@@ -35,7 +35,7 @@ runs lane by lane, outward from the anchor or inward from an edge, so a
 row's value is a pure function of its four shapes, whatever batch or block
 it is evaluated in. The scheme is exact up to rounding and the bounded
 tail, and seed-free, so simulated power carries data-sampling noise only.
-Shapes that are not positive integers raise ValueError.
+Shapes that are not integers from 1 to 2**52 raise ValueError.
 """
 
 import numpy as np
@@ -49,8 +49,8 @@ _MIN_SD = 4.0
 _TAIL_MASS = 1e-17
 # Most terms one (terms x groups) block holds, which bounds working memory.
 _BLOCK = 1 << 14
-# Widest span of group keys per row for which a call finds its groups through
-# a dense array indexed by key, which then costs O(rows) time and memory.
+# Widest span of group keys per row for which rows of a key share a group,
+# found through a dense array indexed by key; past it, each row is its own.
 _KEY_SPAN = 4
 # Most rows in flight: a probe's batch of replicates (simulate._chunk_task)
 # and one call of the grouped CDF in the superiority sum, which bounds the
@@ -77,16 +77,18 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 def _exceedance_unique(rows: np.ndarray) -> np.ndarray:
     """P(X > Y) = P(K <= a_x - 1) per row (a_x, b_x, a_y, b_y) of an (N, 4) array.
 
-    The one entry to the exact sum. Rows need not be distinct, and a row's
-    value depends on its four shapes only, not on the other rows of the call.
+    The one entry to the exact sum, and its one check: shapes are integers
+    from 1 to 2**52, so that the sums of two, such as m, are exact integers
+    too. A row's value depends on its four shapes only, not on the others.
     """
     # rows less their floors are 0 at integers, NaN at an infinity or a NaN
     # (inf - inf is not a warning here) and positive elsewhere
     with np.errstate(invalid="ignore"):
         fraction = np.floor(rows)
         np.subtract(rows, fraction, out=fraction)
-        if not (rows.min(initial=1.0) >= 1.0 and fraction.max(initial=0.0) == 0.0):
-            raise ValueError("Beta shapes must be positive integers for the exact exceedance sum")
+        low, high = rows.min(initial=1.0), rows.max(initial=1.0)
+        if not (low >= 1.0 and high <= 2.0**52 and fraction.max(initial=0.0) == 0.0):
+            raise ValueError("Beta shapes must be positive integers up to 2**52 for the exact sum")
     a_x, b_x, a_y, b_y = rows.T
     values = _beta_binomial_cdf(a_x - 1.0, a_x + b_x - 1.0, a_y, b_y)
     return np.clip(values, 0.0, 1.0, out=values)
@@ -97,15 +99,15 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
 
     A run is a stretch of rows with equal (m, a + b). A row's group key is
     its run's offset plus a less the least a of the run, so keys count up
-    from 0 and sort the groups by run, then by a. Where the keys span at
-    most _KEY_SPAN per row, a dense array indexed by key gives each key its
-    group (see :func:`_key_groups`); sparser keys are grouped by np.unique.
-    Either way the groups come out in key order, in O(rows) memory. Groups
-    go in blocks of at most _BLOCK terms, and widened groups go round again.
-    When all the groups fit one block, each row reads its group's column of
-    the one table in one gather. Otherwise the round's groups go in order of
-    window width and the rows are sorted by their group's place, so that a
-    block's rows are one slice that reads its table once it is built.
+    from 0, one per (run, a). Where the keys span at most _KEY_SPAN per row,
+    rows of one key share a group; otherwise each row is its own group (see
+    :func:`_key_groups`). Either way grouping takes O(rows) memory and
+    changes no value. Groups go in blocks of at most _BLOCK terms, and
+    widened groups go round again. When all the groups fit one block, each
+    row reads its group's column of the one table in one gather. Otherwise
+    the round's groups go in order of window width and the rows are sorted
+    by their group's place, so that a block's rows are one slice that reads
+    its table once it is built.
     """
     k, m, a, b = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (k, m, a, b))
     size = k.shape[0]
@@ -118,8 +120,6 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
     run_start = np.flatnonzero(new_run)
     least = np.minimum.reduceat(a, run_start)
     end = np.cumsum(np.maximum.reduceat(a, run_start) - least + 1.0)
-    if end[-1] > 2.0**53:  # larger keys would round onto each other
-        raise ValueError("the shapes a of the runs span more than 2**53 keys in all")
     offset = np.append(0.0, end[:-1]) - least
     key = np.repeat(offset, np.diff(run_start, append=size)) + a
     group, heads = _key_groups(key, int(end[-1]))
@@ -138,7 +138,7 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
         if pending.size == groups and groups * int(widths.max()) <= _BLOCK:
             # Every group in one table, whose column g the rows of group g
             # read. Windows only widen, so every earlier round fitted too and
-            # left the groups in key order.
+            # left the groups in their order.
             blocks = [(slice(None), slice(None), group)]
         else:
             by_width = np.argsort(widths, kind="stable")
@@ -163,23 +163,21 @@ def _beta_binomial_cdf(k, m, a, b) -> np.ndarray:
 
 
 def _key_groups(key, span):
-    """Each row's group, numbered in key order, and the first row of each group.
+    """Each row's group and the first row of each group.
 
     Keys are integers in [0, span). Up to _KEY_SPAN keys per row, the group of
     a key is the count of keys present below it, read from a dense array of
-    the span; sparser keys are sorted by np.unique, whose memory does not
-    grow with the span.
+    the span, so the rows of a key share a group. Past that, each row is its
+    own group, whatever the span. No value depends on the grouping.
     """
-    if span <= _KEY_SPAN * key.shape[0]:
-        key = key.astype(np.intp)
-        first = np.full(span, key.shape[0], dtype=np.intp)
-        np.minimum.at(first, key, np.arange(key.shape[0]))
-        present = first < key.shape[0]
-        return (np.cumsum(present) - 1)[key], first[present]
-    _, heads, group = np.unique(
-        key.astype(np.min_scalar_type(span - 1)), return_index=True, return_inverse=True
-    )
-    return group, heads
+    rows = np.arange(key.shape[0])
+    if span > _KEY_SPAN * key.shape[0]:
+        return rows, rows
+    key = key.astype(np.intp)
+    first = np.full(span, key.shape[0], dtype=np.intp)
+    np.minimum.at(first, key, rows)
+    present = first < key.shape[0]
+    return (np.cumsum(present) - 1)[key], first[present]
 
 
 def _row_blocks(widths, pending, group, groups):

@@ -85,9 +85,11 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b), i.e. the Beta(a, b) CDF at x.
 
     The continued fraction of I_x(a, b) converges quickly below
-    x = (a + 1) / (a + b + 2); above it the value is 1 - I_{1-x}(b, a). A
-    small value is therefore computed with relative accuracy, which keeps
-    the far tail of :func:`recruitment_probability` meaningful.
+    x = (a + 1) / (a + b + 2); above it the value is 1 - I_{1-x}(b, a). Below
+    that point a small value is computed with relative accuracy, which keeps
+    the far tail of :func:`recruitment_probability` meaningful; above it the
+    complement holds absolute accuracy only, and a value far below 1e-16
+    reads 0. Either way the value lies in [0, 1].
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"reg_inc_beta requires positive finite shapes, got ({a}, {b})")
@@ -133,7 +135,8 @@ def _inc_beta_lower(x: float, a: float, b: float) -> float:
         raise ArithmeticError(f"I_x(a, b) did not converge at x={x}, a={a}, b={b}")
     log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     log_front = a * math.log(x) + b * math.log1p(-x) - log_beta
-    return math.exp(log_front + math.log(fraction / a))
+    # the value is a probability, though rounding can take it just past 1
+    return min(1.0, math.exp(log_front + math.log(fraction / a)))
 
 
 def negbin_params(model: RecruitmentModel, m: float) -> tuple[float, float]:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from pilot_borrow.cli import EXIT_FLAGGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from pilot_borrow.cli import EXIT_FLAGGED, EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from pilot_borrow.config import RunConfig
 from pilot_borrow.simulate import DesignScenario, find_min_sample_size
 
 from oracles import philox_binomial_draws
@@ -232,6 +233,29 @@ def test_recruit_count_past_the_largest_total_names_the_bound(capfd, argv):
     assert out == "" and err == f"error: n must be <= 1048576, got {argv[argv.index('--n') + 1]}\n"
 
 
+_POWER = ["power", *_CELL, "--n-total", "206"]
+_REPLICATE = ["replicate", *_CELL, "--n-total", "206"]
+_CONFLICT = ["conflict", *_CELL]
+
+
+@pytest.mark.parametrize(
+    "owner,name,argv,dest,value",
+    [
+        (DesignScenario, "threshold", _POWER, "phi", 0.9),
+        (DesignScenario, "prior_weight", _CONFLICT, "w", 0.25),
+        (DesignScenario, "replicates", _POWER, "replicates", 123),
+        (DesignScenario, "pilot_rr_multiplier", _REPLICATE, "multiplier", 1.1),
+        (DesignScenario, "pilot_fraction", _POWER, "pilot_fraction", 0.3),
+        (DesignScenario, "pilot_fraction", _REPLICATE, "pilot_fraction", 0.3),
+        (RunConfig, "target_power", _CONFLICT, "target_power", 0.9),
+        (RunConfig, "workers", _CONFLICT, "workers", 3),
+    ],
+)
+def test_omitted_flags_take_the_library_defaults(monkeypatch, owner, name, argv, dest, value):
+    monkeypatch.setattr(owner, name, value)
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
 class TestPowerCommand:
     def test_prints_estimate(self, capsys):
         code = main(
@@ -450,6 +474,13 @@ class TestRecruitCommand:
 
     def test_needs_months_or_solve(self, capsys):
         assert main(["recruit", "--lambda0", "5", "--n", "230"]) == EXIT_VALIDATION
+
+    def test_far_tail_prints_zero_not_a_negative_value(self, capsys):
+        # the tail, about 6.6e-300, once printed as -0.000000
+        argv = ["recruit", "--lambda0", "1e-300", "--n", "1048576", "--months", "1e8"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "P(N >= 1048576 within 1e+08 months | lambda0=1e-300) = 0.000000\n"
 
 
 class TestReplicateCommand:

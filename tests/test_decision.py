@@ -243,10 +243,34 @@ class TestExactSum:
         for k in range(0, rows.shape[0], 499):
             assert exceedance(*rows[k]) == values[k]
 
-    @pytest.mark.parametrize("shape", [2.5, 0.5, np.nan, np.inf])
-    def test_rejects_shapes_that_are_not_positive_integers(self, shape):
-        with pytest.raises(ValueError):
-            _exceedance_unique(np.array([[shape, 3.0, 2.0, 4.0]]))
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize(
+        "shape", [2.5, 0.5, np.nan, np.inf, 2.0**52 + 1.0, 2.0**53, 2.0**53 + 2.0, 1e300]
+    )
+    def test_rejects_shapes_that_are_not_positive_integers(self, shape, column):
+        # Past 2**52 a sum of two shapes can round: the equal laws of
+        # (2**53, 1, 2**53, 1) once gave 1.0. The row (1, 1, 1e300, 1) once
+        # overflowed its window into an IndexError.
+        row = np.ones((1, 4))
+        row[0, column] = shape
+        with pytest.raises(ValueError, match="positive integers up to 2\\*\\*52"):
+            _exceedance_unique(row)
+
+    def test_accepts_shapes_up_to_two_to_the_52(self):
+        big = 2.0**52
+        rows = np.array(
+            [
+                [1.0, 1.0, big, 1.0],
+                [1.0, 1.0, 1.0, big],
+                [big, 1.0, big, 1.0],
+                [big, 4.0, big - 1.0, 5.0],
+            ]
+        )
+        # P(U > Y) = E[1 - Y] for a uniform U and Y ~ Beta(a, 1); equal laws
+        # give 1/2; and as a grows, P(Beta(a, 4) > Beta(a - 1, 5)) tends to
+        # P(G_4 < G_5) = I_{1/2}(4, 5) for gamma variables G_k of shape k
+        expected = [1.0 / (2**52 + 1), 2**52 / (2**52 + 1), 0.5, 163 / 256]
+        assert _exceedance_unique(rows).tolist() == pytest.approx(expected, rel=1e-12)
 
     def test_raw_sums_stay_within_the_unit_interval(self):
         # Every form is a probability: a running sum of nonnegative terms
@@ -337,15 +361,15 @@ class TestRowDedup:
         one_at_a_time = np.array([exceedance(*row) for row in rows])
         assert _exceedance_unique(rows).tobytes() == one_at_a_time.tobytes()
 
-    def test_keys_past_float_precision_raise(self):
-        # two runs whose a_y span 2**52 each: their keys would pass 2**53
-        wide = 2.0**52 + 1.0
-        rows = np.array([[a_x, 2.0, a_y, 1.0 + wide - a_y] for a_x in (2, 3) for a_y in (1, wide)])
-        with pytest.raises(ValueError, match="2\\*\\*53"):
-            _exceedance_unique(rows)
-        assert _exceedance_unique(rows[:2]).tobytes() == np.array(
-            [exceedance(*row) for row in rows[:2]]
-        ).tobytes()
+    def test_keys_past_float_precision_match_one_row_at_a_time(self):
+        # three runs whose a_y span 2**52 each: their keys pass 2**53, where
+        # they would round onto each other, so each row is its own group
+        wide = 2.0**52
+        rows = np.array(
+            [[a_x, 2.0, a_y, 1.0 + wide - a_y] for a_x in (2, 3, 4) for a_y in (1, wide)]
+        )
+        one_at_a_time = np.array([exceedance(*row) for row in rows])
+        assert _exceedance_unique(rows).tobytes() == one_at_a_time.tobytes()
 
     @pytest.mark.parametrize("shape", [np.nan, np.inf, 2.5])
     def test_bad_shape_among_duplicates_still_raises(self, shape):
@@ -355,7 +379,9 @@ class TestRowDedup:
             _exceedance_unique(rows)
 
     @pytest.mark.parametrize("column", range(4))
-    @pytest.mark.parametrize("shape", [np.nan, np.inf, -np.inf, 0.0, 0.5, 2.5])
+    @pytest.mark.parametrize(
+        "shape", [np.nan, np.inf, -np.inf, 0.0, 0.5, 2.5, 2.0**52 + 1.0, 2.0**53 + 2.0, 1e300]
+    )
     def test_one_bad_shape_in_the_last_row_of_a_large_call_raises(self, shape, column):
         rows = random_count_rows(np.random.default_rng(751), 10_000)
         rows[-1, column] = shape
@@ -386,7 +412,7 @@ class TestRowDedup:
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_and_sorted_key_groups_give_the_same_bits(self, monkeypatch, seed):
         """A real batch's rows, shuffled rows and duplicates, grouped by the
-        dense key map and by np.unique."""
+        dense key map and one row to a group."""
         rng = np.random.default_rng(761 + seed)
         scenario = DesignScenario(
             control_rate=0.25, risk_ratio=1.7, pilot_fraction=0.2, replicates=2_000,

@@ -248,6 +248,18 @@ def test_rates_run_between_their_bounds():
     assert recruitment_probability(RecruitmentModel(RATE_MIN), 0, MONTHS_MAX) == 1.0
 
 
+@pytest.mark.parametrize("lambda0,tolerance", [(1e-300, 1e-12), (1e-100, 1e-12), (1e-12, 1e-11)])
+def test_small_rate_tail_is_never_negative(lambda0, tolerance):
+    """At n = 2**20 and the longest window the tail, about 6.6 lambda0, is
+    the complement of a value near 1 that once rounded past 1 and read
+    -3.3e-11, -6.6e-10 and -6.2e-12; it now reads 0. At lambda0 = 1e-12 the
+    small-shape error of the module docstring exceeds 1e-12."""
+    n = 1 << 20
+    value = recruitment_probability(RecruitmentModel(lambda0), n, MONTHS_MAX)
+    assert 0.0 <= value <= 1.0
+    assert abs(value - recruitment_probability_betainc(n, lambda0, MONTHS_MAX)) <= tolerance
+
+
 @pytest.mark.parametrize("lambda0", [0.001, 0.1, 2.0, 5.0, 100.0])
 def test_one_recruit_against_the_closed_form(lambda0):
     """P(N >= 1) = 1 - p^(2 lambda0), p = 2 / (2 + m), to 4e-9 relative over

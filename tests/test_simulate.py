@@ -508,8 +508,8 @@ class TestEstimatePower:
             pytest.param({"_BLOCK": 1 << 10}, id="small-blocks"),
             # every round of groups in one table, read by one gather
             pytest.param({"_BLOCK": 1 << 40}, id="one-block"),
-            # groups found by np.unique in place of the dense key map
-            pytest.param({"_KEY_SPAN": 0}, id="sorted-keys"),
+            # each row its own group in place of the dense key map
+            pytest.param({"_KEY_SPAN": 0}, id="one-group-per-row"),
         ],
     )
     @pytest.mark.parametrize("narrow", [False, True])

@@ -62,6 +62,37 @@ class TestRegIncBeta:
         )
         assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "x,a,b",
+        [
+            # once -1.1e-13, a complement of a lower value rounded past 1
+            (0.8254878133935558, 1.0, 1.5548349943846097e-281),
+            # once 1 + 2.8e-14, a lower value rounded past 1
+            (0.15052483042117748, 2.2221785049954842e-54, 7.64340884493566e-06),
+        ],
+    )
+    def test_rounding_past_one_is_clipped(self, x, a, b):
+        from scipy import special
+
+        value = reg_inc_beta(x, a, b)
+        assert 0.0 <= value <= 1.0
+        assert abs(value - special.betainc(a, b, x)) <= 1e-12
+
+    def test_random_inputs_stay_in_the_unit_interval(self):
+        """Shapes log-uniform in [1e-300, 1e6], against scipy where a shape
+        is at least 1e-150: below that in both, scipy's value is wrong and
+        50-digit mpmath agrees with the package."""
+        from scipy import special
+
+        rng = np.random.default_rng(20_000)
+        xs = rng.uniform(size=20_000)
+        shapes = 10.0 ** rng.uniform(-300.0, 6.0, size=(20_000, 2))
+        for x, (a, b) in zip(xs.tolist(), shapes.tolist()):
+            value = reg_inc_beta(x, a, b)
+            assert 0.0 <= value <= 1.0, (x, a, b, value)
+            if max(a, b) >= 1e-150:
+                assert abs(value - special.betainc(a, b, x)) <= 1e-12, (x, a, b, value)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             reg_inc_beta(-0.1, 1.0, 1.0)
